@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Exit codes: 0 on success, 1 when a check/claim fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a check/claim fails, 2 on usage errors,
+3 when a search hit its node budget before it was exhaustive.
 Model arguments accept either a catalog id (``a7[k=2,ident=1]``) or a path
 to a model file in the JSON format of ``to_json``.
 """
@@ -172,7 +173,7 @@ def cmd_search(args) -> int:
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))
-    return 0
+    return 0 if res.exhaustive else 3
 
 
 def cmd_verify_paper(args) -> int:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism, to_json
-from .axioms import (R_SYS, S_SYS, TARSKI, axiom_sentence, exists_right_identity,
-                     failing_axioms, is_independence_model, satisfies,
-                     status_vector)
+from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
+                     exists_right_identity, failing_axioms,
+                     is_independence_model, satisfies, status_vector)
 from .catalog import build_model, list_models
 from .search import (SearchResult, SearchSpec, boolean_guided_search, search,
                      verify_minimality)
@@ -181,8 +181,6 @@ _SSYS_SUITE = (
     ]
 )
 
-_SYSTEMS = {"tarski": TARSKI, "r": R_SYS, "s": S_SYS}
-
 
 def _lemma_implication(population, hypotheses, conclusions):
     """Every model satisfying all hypotheses must satisfy every conclusion."""
@@ -328,7 +326,7 @@ def run_verification_suite(include_long_running: bool = False,
             run(cid, f"{mid} fails exactly {target} within {sysname}",
                 "independence",
                 lambda mid=mid, sysname=sysname, target=target:
-                    _independence_evidence(models[mid], _SYSTEMS[sysname], target))
+                    _independence_evidence(models[mid], SYSTEMS[sysname], target))
 
     # (e) extra facts
     run("paper.witness.stated-counterexamples",

@@ -282,7 +282,14 @@ class _Engine:
 
 def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResult:
     """DFS over ``variables`` (list of cell ids); collect complete tables
-    that satisfy must_hold and falsify every must_fail sentence."""
+    that satisfy must_hold and falsify every must_fail sentence.
+
+    Up to size 8 both counts come from the leaves' canonical forms:
+    iso_class_count is the number of distinct forms and labeled_count the
+    orbit sum n!/|Aut| over them, so they count every labeling even when
+    the search fixed part of the tables (a run cut short by its node budget
+    counts the classes it reached).  Above size 8 both are the number of
+    leaves."""
     n = spec.size
     models: list[FiniteAlgebra] = []
     seen_forms: dict[bytes, FiniteAlgebra] = {}
@@ -299,11 +306,9 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
         for s in spec.must_fail:
             if check_validity(alg, s) is None:
                 return
-        if spec.up_to_iso:
-            form = canonical_form(alg)
-            if form not in seen_forms:
-                seen_forms[form] = alg
-        else:
+        if n <= 8:
+            seen_forms.setdefault(canonical_form(alg), alg)
+        if not spec.up_to_iso:
             models.append(alg)
 
     limit = spec.node_limit
@@ -335,14 +340,11 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     dfs(0)
 
     if spec.up_to_iso:
-        models = sorted(seen_forms.items())
-        models = [alg for _, alg in models]
-        iso_classes = len(models)
-        labeled = sum(math.factorial(n) // automorphism_count(m) for m in models)
-    else:
-        labeled = len(models)
-        iso_classes = len({canonical_form(m) for m in models}) if n <= 8 else labeled
-    return SearchResult(models, labeled, iso_classes, exhausted, nodes)
+        models = [alg for _, alg in sorted(seen_forms.items())]
+    if n > 8:
+        return SearchResult(models, len(models), len(models), exhausted, nodes)
+    labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
+    return SearchResult(models, labeled, len(seen_forms), exhausted, nodes)
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -378,9 +380,11 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     Sizes that are not powers of two are immediately empty.  Otherwise the
     Boolean part is fixed to the bitmask algebra (the unique Boolean algebra
     of that size up to isomorphism) and only comp, conv, and ident are
-    enumerated.  With R8 (R8p) held, comp rows (columns) at non-atomic
-    arguments are derived by additivity; with R9 held, converse at
-    non-atomic arguments is derived the same way.
+    enumerated.  Without ``up_to_iso``, ``models`` holds only the labelings
+    with that bitmask Boolean part, while ``labeled_count`` counts every
+    labeling by orbit sums.  With R8 (R8p) held, comp rows (columns) at
+    non-atomic arguments are derived by additivity; with R9 held, converse
+    at non-atomic arguments is derived the same way.
     """
     for rid in ("R1", "R2", "R3"):
         if axiom_sentence(rid) not in spec.must_hold:

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import chain, permutations
 
 import pytest
 
@@ -6,7 +8,8 @@ from relalg.algebra import (AlgebraError, atoms, automorphism_count,
                             canonical_form, derived_element, find_isomorphism,
                             from_json, is_completely_distributive, leq,
                             make_algebra, meet, relabel, sup, to_json)
-from relalg.catalog import a2, a9, b10, boolean_ra, m3, z3_complex
+from relalg.catalog import (a2, a9, b10, boolean_ra, build_model, list_models, m3,
+                            z3_complex)
 
 
 def tiny():
@@ -133,6 +136,77 @@ class TestIsomorphism:
         # swapping the two non-unit group elements is an automorphism of Z3's
         # complex algebra
         assert automorphism_count(z3_complex()) == 2
+
+
+def _tables(a):
+    return (a.size, a.ident, a.neg, a.conv, a.add, a.comp)
+
+
+def _brute_isomorphisms(a, b):
+    """Every one of the n! permutations p with relabel(a, p) == b, in
+    lexicographic order."""
+    return [p for p in permutations(range(a.size))
+            if _tables(relabel(a, p)) == _tables(b)]
+
+
+def _brute_canonical_form(a):
+    """The least (size, ident, neg, conv, add, comp) encoding over all n!
+    relabelings."""
+    return min(bytes([b.size, b.ident, *b.neg, *b.conv, *chain(*b.add), *chain(*b.comp)])
+               for b in (relabel(a, p) for p in permutations(range(a.size))))
+
+
+def _random_tables(rng, n):
+    """Junk tables: neg and conv need not be involutions nor add Boolean.
+    Each table draws its entries from a range of its own; narrow ranges give
+    many permutations that preserve some tables but not the others."""
+    def vec():
+        k = rng.choice([1, min(2, n), n])
+        return [rng.randrange(k) for _ in range(n)]
+
+    def mat():
+        k = rng.choice([1, min(2, n), n])
+        return [[rng.randrange(k) for _ in range(n)] for _ in range(n)]
+
+    return make_algebra(n, mat(), vec(), mat(), vec(), rng.randrange(n))
+
+
+def _shuffled(a, seed):
+    perm = list(range(a.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(a, perm)
+
+
+class TestIsomorphismOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_tables_match_brute_force(self, n):
+        rng = random.Random(f"iso-oracle:{n}")
+        for k in range(20):
+            a = _random_tables(rng, n)
+            others = (_shuffled(a, f"{n}:{k}"), _random_tables(rng, n))
+            assert canonical_form(a) == _brute_canonical_form(a)
+            assert automorphism_count(a) == len(_brute_isomorphisms(a, a))
+            for b in others:
+                first = next(iter(_brute_isomorphisms(a, b)), None)
+                assert find_isomorphism(a, b) == first
+
+    def test_random_tables_reach_nontrivial_automorphisms(self):
+        rng = random.Random("iso-oracle:4")
+        counts = {automorphism_count(_random_tables(rng, 4)) for _ in range(12)}
+        assert max(counts) > 1
+
+    @pytest.mark.parametrize("model_id", [m for m in list_models()
+                                          if build_model(m).size <= 8])
+    def test_catalog_relabelings(self, model_id):
+        a = build_model(model_id)
+        form, aut = canonical_form(a), automorphism_count(a)
+        for seed in range(2):
+            b = _shuffled(a, f"{model_id}:{seed}")
+            assert canonical_form(b) == form
+            assert automorphism_count(b) == aut
+            p = find_isomorphism(a, b)
+            # with automorphisms p may differ from the shuffle, and so may names
+            assert p is not None and _tables(relabel(a, p)) == _tables(b)
 
 
 class TestDegenerateModels:

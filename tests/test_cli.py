@@ -93,6 +93,14 @@ class TestCommands:
         assert code == 0
         assert "labeled models: 0" in out
 
+    def test_search_budget_reached_exit_code(self, capsys):
+        code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
+        assert code == 3
+        assert "exhaustive:     False" in out
+        code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1", "--json")
+        assert code == 3
+        assert json.loads(out)["exhaustive"] is False
+
     def test_search_json(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "1", "--json")
         assert code == 0

@@ -109,6 +109,15 @@ class TestBooleanGuidedSearch:
         raw = naive_enumerate(SearchSpec(2, spec.must_hold, spec.must_fail))
         assert guided.labeled_count == raw.labeled_count
 
+    def test_unreduced_labeled_count_matches_naive(self):
+        # without up_to_iso the leaves keep the bitmask Boolean part, but the
+        # labeled count must still cover every labeling
+        spec = SearchSpec(2, _axioms(TARSKI))
+        guided = boolean_guided_search(spec)
+        assert guided.labeled_count == naive_enumerate(spec).labeled_count == 2
+        assert guided.iso_class_count == 1
+        assert len(guided.models) == 1  # only the bitmask labeling
+
     def test_finds_a7_at_size_four(self):
         spec = SearchSpec(4, _axioms(i for i in TARSKI if i != "R7"),
                           _axioms(("R7",)), up_to_iso=True)
