@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 1 when a check/claim fails, 2 on usage errors,
-3 when a search hit its node budget before it was exhaustive.
+3 when a search hit its node budget before it was exhaustive (for
+``verify-paper``: no claim failed, but a claim's search did not finish).
 Model arguments accept either a catalog id (``a7[k=2,ident=1]``) or a path
 to a model file in the JSON format of ``to_json``.
 """
@@ -162,6 +163,7 @@ def cmd_search(args) -> int:
             "iso_class_count": res.iso_class_count,
             "exhaustive": res.exhaustive,
             "nodes_explored": res.nodes_explored,
+            "rechecks": res.rechecks,
             "models": [json.loads(to_json(m)) for m in res.models],
         }
         print(json.dumps(doc, indent=1))
@@ -170,6 +172,7 @@ def cmd_search(args) -> int:
         print(f"iso classes:    {res.iso_class_count}")
         print(f"exhaustive:     {res.exhaustive}")
         print(f"nodes explored: {res.nodes_explored}")
+        print(f"rechecks:       {res.rechecks}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))
@@ -182,7 +185,7 @@ def cmd_verify_paper(args) -> int:
         print(json.dumps(report.to_dict(), indent=1))
     else:
         print(report.render())
-    return 0 if report.overall == "pass" else 1
+    return {"pass": 0, "inconclusive": 3}.get(report.overall, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from . import golden
 
 PASS = "pass"
 FAIL = "fail"
+INCONCLUSIVE = "inconclusive"  # a search cut short by its node budget
 SKIP = "skipped-long-running"
 
 KINDS = ("independence", "minimality", "uniqueness", "lemma-semantic",
@@ -47,7 +48,12 @@ class Report:
 
     @property
     def overall(self) -> str:
-        return FAIL if any(c.status == FAIL for c in self.claims) else PASS
+        """fail if a claim failed, else inconclusive if one did not finish."""
+        statuses = {c.status for c in self.claims}
+        for status in (FAIL, INCONCLUSIVE):
+            if status in statuses:
+                return status
+        return PASS
 
     def to_dict(self) -> dict:
         return {
@@ -67,7 +73,8 @@ class Report:
         }
 
     def render(self) -> str:
-        tags = {PASS: "PASS", FAIL: "FAIL", SKIP: "SKIP"}
+        tags = {PASS: "PASS", FAIL: "FAIL", INCONCLUSIVE: "INCONCLUSIVE",
+                SKIP: "SKIP"}
         lines = []
         for c in self.claims:
             lines.append(f"[{tags[c.status]}] {c.claim_id} ({c.seconds:.2f}s) {c.description}")
@@ -75,7 +82,8 @@ class Report:
                 lines.append(f"       evidence: {c.evidence}")
         counts = {s: sum(1 for c in self.claims if c.status == s) for s in tags}
         lines.append(f"overall: {self.overall} "
-                     f"({counts[PASS]} passed, {counts[FAIL]} failed, {counts[SKIP]} skipped)")
+                     f"({counts[PASS]} passed, {counts[FAIL]} failed, "
+                     f"{counts[INCONCLUSIVE]} inconclusive, {counts[SKIP]} skipped)")
         return "\n".join(lines)
 
 
@@ -135,6 +143,7 @@ def _search_result_evidence(res: SearchResult) -> dict:
         "iso_class_count": res.iso_class_count,
         "exhaustive": res.exhaustive,
         "nodes_explored": res.nodes_explored,
+        "rechecks": res.rechecks,
     }
 
 
@@ -303,10 +312,12 @@ def run_verification_suite(include_long_running: bool = False,
     models = {mid: build_model(mid) for mid in list_models()}
 
     def run(claim_id, description, kind, fn):
+        """``fn`` returns (verdict, evidence); a None verdict means the
+        check did not finish."""
         start = time.perf_counter()
         try:
             ok, evidence = fn()
-            status = PASS if ok else FAIL
+            status = INCONCLUSIVE if ok is None else PASS if ok else FAIL
         except Exception as exc:  # a crashing claim is a failing claim
             status, evidence = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
         claims.append(Claim(claim_id, description, kind, status,
@@ -430,7 +441,7 @@ def run_verification_suite(include_long_running: bool = False,
             ev = _search_result_evidence(res)
             if not res.exhaustive:
                 ev["resource_abort"] = True
-                return True, ev
+                return None, ev
             ev["matches_certificate"] = bool(
                 res.models and find_isomorphism(res.models[0], models[certificate]))
             return res.iso_class_count == 1 and ev["matches_certificate"], ev

@@ -2,11 +2,14 @@
 
 The engine enumerates operation tables cell by cell (decision order:
 identity constant, complement, converse, addition row-major, relative
-multiplication row-major) and prunes with ground-instance propagation:
-every sentence in ``must_hold`` is instantiated at every tuple of
-elements, and an instance is re-checked whenever a cell it last read
-changes.  A violated instance with all of its cells decided cuts the
-branch; ``must_fail`` sentences are only tested on complete tables.
+multiplication row-major) and prunes with ground-instance propagation.
+Each sentence in ``must_hold`` is compiled once per search into a
+straight-line function over the flat cell array (``_compile``); cells
+preset before the search, such as the guided search's Boolean part, are
+read as constants and never watched.  An instance, that function with one
+tuple of element values, is re-checked whenever a cell it last read
+changes, and a violated instance cuts the branch.  ``must_fail``
+sentences are only tested on complete tables.
 
 ``naive_enumerate`` is an independent brute-force oracle used to
 cross-check the backtracking engine at tiny sizes.
@@ -15,6 +18,7 @@ cross-check the backtracking engine at tiny sizes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,7 +27,7 @@ from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
 from .axioms import axiom_sentence
 from .terms import (Add, Biconditional, Comp, Conv, Equation, IdentConst,
                     Inclusion, Meet, Neg, OneConst, QuasiEquation, Sentence,
-                    Term, Var, ZeroConst, check_validity, free_vars)
+                    Var, ZeroConst, check_validity, free_vars)
 
 
 @dataclass(frozen=True)
@@ -49,120 +53,109 @@ class SearchResult:
     iso_class_count: int
     exhaustive: bool
     nodes_explored: int
+    rechecks: int = 0  # instance re-evaluations run by the watchers
 
 
 # --- cell layout ------------------------------------------------------------
 # 0: ident, 1..n: neg, n+1..2n: conv, then add (n*n), then comp (n*n).
 
 def _layout(n):
-    ident = 0
-    neg0 = 1
-    conv0 = 1 + n
-    add0 = 1 + 2 * n
-    comp0 = 1 + 2 * n + n * n
-    total = 1 + 2 * n + 2 * n * n
-    return ident, neg0, conv0, add0, comp0, total
+    """ident, neg0, conv0, add0, comp0 and the number of cells."""
+    return 0, 1, 1 + n, 1 + 2 * n, 1 + 2 * n + n * n, 1 + 2 * n + 2 * n * n
 
 
-class _Blocked(Exception):
-    """Raised when evaluation hits an undecided cell."""
+def _compile(s: Sentence, n: int, names, folded):
+    """Compile ``s`` at size ``n`` into ``check(cells, reads, *values)``
+    (values bound to ``names`` in order), which returns True, False, or
+    None on an undecided cell.  It reads cells in evaluation order and
+    appends each to ``reads``, the blocking cell included, except cells of
+    the regions whose base offset is in ``folded``: those never change and
+    are read without a test.  A repeated subterm is evaluated once.  A
+    quasi-equation is True at its first false antecedent and blocks if
+    any antecedent blocked; a biconditional blocks on its left side
+    before evaluating its right."""
+    _, neg0, conv0, add0, comp0, _ = _layout(n)
+    args = {name: f"v{i}" for i, name in enumerate(names)}
+    lines = ["def check(cells, reads, " + ", ".join(args.values()) + "):",
+             "    ap = reads.append"]
+    memo: dict = {}
+    indent, block = "    ", "return None"  # what an undecided cell runs
 
-    def __init__(self, cell):
-        self.cell = cell
+    def emit(line):
+        lines.append(indent + line)
 
+    def cell(base, index):
+        t = f"t{len(lines)}"
+        if base in folded:
+            emit(f"{t} = cells[{base} + {index}]")
+        else:
+            emit(f"k = {base} + {index}")
+            emit(f"ap(k); {t} = cells[k]")
+            emit(f"if {t} is None: {block}")
+        return t
 
-class _Instance:
-    """One ground instance of a must-hold sentence.
-
-    check() evaluates against the partial cell array, recording every cell
-    it reads; the engine subscribes the instance to those cells so that it
-    is re-evaluated whenever any of them changes.
-    """
-
-    __slots__ = ("sentence", "env", "version", "reads")
-
-    def __init__(self, sentence, env):
-        self.sentence = sentence
-        self.env = env
-        self.version = 0
-        self.reads: list[int] = []
-
-    def check(self, eng):
-        """Returns True, False, or None (blocked); ``self.reads`` holds the
-        cells consulted, including the blocking cell if any."""
-        self.reads = []
-        try:
-            return self._sent(self.sentence, eng)
-        except _Blocked as b:
-            self.reads.append(b.cell)
-            return None
-
-    def _cell(self, eng, c):
-        self.reads.append(c)
-        v = eng.cells[c]
-        if v is None:
-            raise _Blocked(c)
-        return v
-
-    def _term(self, t, eng):
-        n = eng.n
+    def term(t):
+        # 1, 0 and meet are read exactly as their definitions would be
         if type(t) is Var:
-            return self.env[t.name]
-        if type(t) is IdentConst:
-            return self._cell(eng, eng.ident_cell)
-        if type(t) is OneConst:
-            i = self._cell(eng, eng.ident_cell)
-            ni = self._cell(eng, eng.neg0 + i)
-            return self._cell(eng, eng.add0 + i * n + ni)
-        if type(t) is ZeroConst:
-            i = self._cell(eng, eng.ident_cell)
-            ni = self._cell(eng, eng.neg0 + i)
-            one = self._cell(eng, eng.add0 + i * n + ni)
-            return self._cell(eng, eng.neg0 + one)
-        if type(t) is Neg:
-            return self._cell(eng, eng.neg0 + self._term(t.child, eng))
-        if type(t) is Conv:
-            return self._cell(eng, eng.conv0 + self._term(t.child, eng))
-        if type(t) is Add:
-            x = self._term(t.left, eng)
-            y = self._term(t.right, eng)
-            return self._cell(eng, eng.add0 + x * n + y)
-        if type(t) is Comp:
-            x = self._term(t.left, eng)
-            y = self._term(t.right, eng)
-            return self._cell(eng, eng.comp0 + x * n + y)
-        if type(t) is Meet:
-            nx = self._cell(eng, eng.neg0 + self._term(t.left, eng))
-            ny = self._cell(eng, eng.neg0 + self._term(t.right, eng))
-            return self._cell(eng, eng.neg0 + self._cell(eng, eng.add0 + nx * n + ny))
-        raise TypeError(f"not a term: {t!r}")
+            return args[t.name]
+        if t not in memo:
+            if type(t) is IdentConst:
+                memo[t] = cell(0, 0)
+            elif type(t) is OneConst:
+                memo[t] = term(Add(IdentConst(), Neg(IdentConst())))
+            elif type(t) is ZeroConst:
+                memo[t] = term(Neg(OneConst()))
+            elif type(t) is Meet:
+                memo[t] = term(Neg(Add(Neg(t.left), Neg(t.right))))
+            elif type(t) in (Neg, Conv):
+                memo[t] = cell(neg0 if type(t) is Neg else conv0, term(t.child))
+            elif type(t) in (Add, Comp):
+                x, y = term(t.left), term(t.right)
+                memo[t] = cell(add0 if type(t) is Add else comp0, f"{x} * {n} + {y}")
+            else:
+                raise TypeError(f"not a term: {t!r}")
+        return memo[t]
 
-    def _atomic(self, s, eng):
-        if type(s) is Equation:
-            return self._term(s.lhs, eng) == self._term(s.rhs, eng)
-        if type(s) is Inclusion:
-            x = self._term(s.lhs, eng)
-            y = self._term(s.rhs, eng)
-            return self._cell(eng, eng.add0 + x * eng.n + y) == y
-        raise TypeError(f"not an atomic sentence: {s!r}")
+    def atomic(a):
+        if type(a) is Equation:
+            return f"{term(a.lhs)} == {term(a.rhs)}"
+        if type(a) is Inclusion:  # lhs + rhs = rhs
+            return f"{term(Add(a.lhs, a.rhs))} == {term(a.rhs)}"
+        raise TypeError(f"not an atomic sentence: {a!r}")
 
-    def _sent(self, s, eng):
-        if type(s) in (Equation, Inclusion):
-            return self._atomic(s, eng)
-        if type(s) is QuasiEquation:
-            blocked = None
-            for a in s.antecedents:
-                try:
-                    if not self._atomic(a, eng):
-                        return True
-                except _Blocked as b:
-                    blocked = b
-            if blocked is not None:
-                raise blocked
-            return self._atomic(s.consequent, eng)
-        if type(s) is Biconditional:
-            return self._atomic(s.left, eng) == self._atomic(s.right, eng)
+    if type(s) is QuasiEquation:
+        emit("blocked = False")
+        for a in s.antecedents:
+            # a one-pass loop, left by ``break`` when the antecedent blocks;
+            # its subterms are not reused, since it may not have finished
+            memo.clear()
+            emit("while True:")
+            indent, block = "        ", "blocked = True; break"
+            emit(f"if not ({atomic(a)}): return True")
+            emit("break")
+            indent, block = "    ", "return None"
+        memo.clear()
+        emit("if blocked: return None")
+        emit(f"return {atomic(s.consequent)}")
+    elif type(s) is Biconditional:
+        left = atomic(s.left)
+        emit(f"return ({left}) == ({atomic(s.right)})")
+    elif type(s) in (Equation, Inclusion):
+        emit(f"return {atomic(s)}")
+    else:
         raise TypeError(f"not a sentence: {s!r}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]
+
+
+@dataclass(slots=True)
+class _Instance:
+    """One ground instance of a must-hold sentence: its compiled checker,
+    the values of its variables, and the version of its subscriptions."""
+    check: Callable
+    values: tuple[int, ...]
+    version: int = 0
 
 
 class _Engine:
@@ -175,44 +168,39 @@ class _Engine:
         self.cells: list[int | None] = [None] * self.total
         self.watch: list[list] = [[] for _ in range(self.total)]
         self.propagate = propagate
-        self.instances = []
-        for s in must_hold:
-            names = sorted(free_vars(s))
-            for values in product(range(n), repeat=len(names)):
-                self.instances.append(_Instance(s, dict(zip(names, values))))
+        self.must_hold = must_hold
+        self.instances: list[_Instance] = []
+        self.rechecks = 0
         # derived cells: target -> (dep cells, all at once, value = OR of deps)
         self.derived_by_dep: dict[int, list] = {}
-        self.derived_specs: list[tuple[int, tuple[int, ...]]] = []
-        # cells preset before the search never change, so watching them
-        # would only leak subscriptions; prime() records which cells can.
-        self.mutable: list[bool] = [True] * self.total
 
     def add_derived(self, target, deps):
         spec = (target, tuple(deps))
-        self.derived_specs.append(spec)
         for d in deps:
             self.derived_by_dep.setdefault(d, []).append(spec)
 
-    def _subscribe(self, inst):
-        inst.version += 1
-        for c in set(inst.reads):
-            if self.mutable[c]:
-                self.watch[c].append((inst, inst.version))
-
-    def _recheck(self, inst):
-        """Re-evaluate and re-subscribe; returns False on violation."""
-        result = inst.check(self)
-        self._subscribe(inst)
-        return result is not False
-
     def prime(self):
-        """Evaluate every instance once against the initial (fixed) cells.
-        Returns False if something is already violated."""
-        self.mutable = [v is None for v in self.cells]
+        """Compile every must-hold sentence, folding the regions decided
+        before the search (they never change, so nothing watches them), and
+        evaluate each instance once.  Returns False if something is already
+        violated."""
+        n, cells, watch = self.n, self.cells, self.watch
+        regions = ((self.ident_cell, 1), (self.neg0, n), (self.conv0, n),
+                   (self.add0, n * n), (self.comp0, n * n))
+        folded = {base for base, size in regions
+                  if None not in cells[base:base + size]}
         ok = True
-        for inst in self.instances:
-            if not self._recheck(inst):
-                ok = False
+        for s in self.must_hold:
+            names = sorted(free_vars(s))
+            check = _compile(s, n, names, folded)
+            for values in product(range(n), repeat=len(names)):
+                inst = _Instance(check, values)
+                self.instances.append(inst)
+                reads: list[int] = []
+                if check(cells, reads, *values) is False:
+                    ok = False
+                for c in set(reads):
+                    watch[c].append((inst, 0))
         return ok
 
     def set_cell(self, cell, value, trail):
@@ -241,22 +229,32 @@ class _Engine:
                     queue.append(target)
         if not self.propagate:
             return True
+        cells, watch = self.cells, self.watch
+        ok = True
+        rechecks = 0
         for c in queue:
-            watchers = self.watch[c]
+            watchers = watch[c]
             if not watchers:
                 continue
-            self.watch[c] = []
-            conflict = False
+            watch[c] = []
             for inst, version in watchers:
                 if version != inst.version:
                     continue
+                reads: list[int] = []
+                result = inst.check(cells, reads, *inst.values)
                 # re-subscribe even on violation so the instance keeps
                 # watching after the branch is undone
-                if not self._recheck(inst):
-                    conflict = True
-            if conflict:
-                return False
-        return True
+                inst.version = version = version + 1
+                entry = (inst, version)
+                for r in set(reads):
+                    watch[r].append(entry)
+                rechecks += 1
+                if result is False:
+                    ok = False
+            if not ok:
+                break
+        self.rechecks += rechecks
+        return ok
 
     def undo(self, trail):
         for c in trail:
@@ -266,7 +264,7 @@ class _Engine:
         """Full re-verification once every cell is decided.  Leaves the
         watch subscriptions untouched."""
         for inst in self.instances:
-            if inst.check(self) is not True:
+            if inst.check(self.cells, [], *inst.values) is not True:
                 return False
         return True
 
@@ -342,9 +340,11 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     if n > 8:
-        return SearchResult(models, len(models), len(models), exhausted, nodes)
-    labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
-    return SearchResult(models, labeled, len(seen_forms), exhausted, nodes)
+        labeled = classes = len(models)
+    else:
+        labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
+        classes = len(seen_forms)
+    return SearchResult(models, labeled, classes, exhausted, nodes, eng.rechecks)
 
 
 def search(spec: SearchSpec) -> SearchResult:

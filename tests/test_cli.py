@@ -97,9 +97,11 @@ class TestCommands:
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
         assert code == 3
         assert "exhaustive:     False" in out
+        assert "rechecks:" in out
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1", "--json")
         assert code == 3
         assert json.loads(out)["exhaustive"] is False
+        assert json.loads(out)["rechecks"] == 0  # no sentence to watch
 
     def test_search_json(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "1", "--json")

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from relalg import cli
 from relalg.algebra import from_json, make_algebra, to_json
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (Claim, Report, _golden_claims, render_model,
@@ -70,6 +73,49 @@ class TestReportStructure:
         assert r.overall == "fail"
         assert "FAIL" in r.render()
         assert "evidence" in r.render()
+
+    def test_inconclusive_claim_makes_overall_inconclusive(self):
+        r = Report("0.0.0", [
+            Claim("x.a", "first", "extra-fact", "pass", 0.1, {}),
+            Claim("x.b", "second", "uniqueness", "inconclusive", 0.1, {}),
+        ])
+        assert r.overall == "inconclusive"
+        assert "[INCONCLUSIVE] x.b" in r.render()
+        assert "1 inconclusive" in r.render()
+        r.claims.append(Claim("x.c", "third", "extra-fact", "fail", 0.1, {}))
+        assert r.overall == "fail"
+
+
+LONG_CLAIMS = ("paper.s11.r9-uniqueness-size8",
+               "paper.s14.r9-uniqueness-size8-rsys")
+
+
+@pytest.fixture(scope="module")
+def budget_cut_report():
+    """The suite with the size-8 searches stopped after a few nodes."""
+    return run_verification_suite(include_long_running=True, long_node_limit=20)
+
+
+class TestBudgetAborts:
+    def test_long_claims_are_inconclusive(self, budget_cut_report):
+        by_id = {c.claim_id: c for c in budget_cut_report.claims}
+        for cid in LONG_CLAIMS:
+            assert by_id[cid].status == "inconclusive"
+            assert by_id[cid].evidence["resource_abort"] is True
+            assert by_id[cid].evidence["exhaustive"] is False
+            assert by_id[cid].evidence["nodes_explored"] == 21
+        assert not [c for c in budget_cut_report.claims
+                    if c.status not in ("pass", "inconclusive")]
+        assert budget_cut_report.overall == "inconclusive"
+
+    def test_verify_paper_exits_3(self, budget_cut_report, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verification_suite",
+                            lambda include_long_running: budget_cut_report)
+        assert cli.main(["verify-paper", "--long"]) == 3
+        out = capsys.readouterr().out
+        assert f"[INCONCLUSIVE] {LONG_CLAIMS[0]}" in out
+        assert cli.main(["verify-paper", "--long", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
 
 
 class TestSuiteSmoke:

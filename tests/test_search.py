@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
-from relalg.axioms import R_SYS, TARSKI, axiom_sentence
-from relalg.catalog import a2, a7, build_model
-from relalg.search import (SearchSpec, boolean_guided_search, naive_enumerate,
-                           search, verify_minimality)
-from relalg.terms import parse_sentence
+from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
+from relalg.catalog import a2, a7, build_model, list_models
+from relalg.search import (SearchSpec, _compile, _layout, boolean_guided_search,
+                           naive_enumerate, search, verify_minimality)
+from relalg.terms import free_vars, holds, parse_sentence
 
 
 def _axioms(ids):
@@ -77,6 +79,120 @@ class TestOracleCrossChecks:
         r1, r2 = search(spec), search(spec)
         assert [canonical_form(m) for m in r1.models] == \
             [canonical_form(m) for m in r2.models]
+
+
+# specs for the guided search's on/off cross-check: it folds the preset
+# Boolean part, which the generic search never does
+GUIDED_ORACLE_SPECS = [
+    SearchSpec(2, _axioms(TARSKI)),
+    SearchSpec(2, _axioms(("R1", "R2", "R3")), _axioms(("R10",))),
+    SearchSpec(2, _axioms(("R1", "R2", "R3", "R4", "R8", "R9", "R11p", "monL"))),
+    SearchSpec(2, _axioms(("R1", "R2", "R3", "R6")), _axioms(("R5",)),
+               up_to_iso=True),
+]
+
+
+class TestGuidedOracleCrossChecks:
+    @pytest.mark.parametrize("spec", GUIDED_ORACLE_SPECS)
+    def test_pruning_on_off_same_models(self, spec):
+        on = boolean_guided_search(spec)
+        off = boolean_guided_search(replace(spec, propagate=False))
+        assert on.exhaustive and off.exhaustive
+        assert _forms(on.models) == _forms(off.models)
+        assert on.labeled_count == off.labeled_count
+        assert on.iso_class_count == off.iso_class_count
+        assert off.rechecks == 0
+
+
+def _search8_spec():
+    must_hold = _axioms(i for i in R_SYS if i != "R9") + (parse_sentence("r^ = r"),)
+    return SearchSpec(8, must_hold, _axioms(("R9",)), up_to_iso=True)
+
+
+# (runner, spec, nodes_explored, rechecks), as the AST-walking instance
+# checker that preceded the compiled one counted them
+PINNED_COUNTS = {
+    "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(), 1307, 274336),
+    "tarski-r2-size3": (search, SearchSpec(
+        3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
+        up_to_iso=True), 8439, 218700),
+    "tarski-r7-size4": (boolean_guided_search, SearchSpec(
+        4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
+        up_to_iso=True), 1025, 52050),
+    # a biconditional and quasi-equations with one and two antecedents
+    "mixed-r4-size4": (boolean_guided_search, SearchSpec(
+        4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
+        + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
+        _axioms(("R4",)), up_to_iso=True), 1937, 160343),
+}
+
+# sentences beyond the catalog: the constants 0 and 1, meet, and
+# quasi-equations with several antecedents
+EXTRA_SENTENCES = ("r <= s, s <= t -> r <= t", "r.1 = 0 + r",
+                   "r;s = 0, 1;r = r -> s.r^ = 0")
+
+
+def _cells(a):
+    """The engine's cell array of a complete algebra."""
+    cells = [a.ident, *a.neg, *a.conv]
+    cells += [v for row in a.add for v in row]
+    cells += [v for row in a.comp for v in row]
+    assert len(cells) == _layout(a.size)[-1]
+    return cells
+
+
+class TestCompiledChecker:
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_pinned_counts(self, name):
+        runner, spec, nodes, rechecks = PINNED_COUNTS[name]
+        res = runner(spec)
+        assert res.exhaustive
+        assert (res.nodes_explored, res.rechecks) == (nodes, rechecks)
+
+    @pytest.mark.parametrize("model_id", list_models())
+    def test_agrees_with_holds(self, model_id):
+        a = build_model(model_id)
+        n, cells = a.size, _cells(a)
+        every_region = set(_layout(n)[:-1])
+        for text in (*AXIOM_TEXT.values(), *EXTRA_SENTENCES):
+            s = parse_sentence(text)
+            names = sorted(free_vars(s))
+            plain = _compile(s, n, names, set())
+            folded = _compile(s, n, names, every_region)
+            for values in product(range(n), repeat=len(names)):
+                want = holds(a, s, dict(zip(names, values)))
+                reads: list[int] = []
+                assert plain(cells, reads, *values) is want, (text, values)
+                assert reads
+                reads = []
+                assert folded(cells, reads, *values) is want, (text, values)
+                assert reads == []
+
+    def test_blocking_rules(self):
+        a = build_model("m3")
+        n = a.size
+        comp0 = _layout(n)[4]
+        cells = _cells(a)
+        cells[comp0:comp0 + n * n] = [None] * (n * n)
+        r4 = _compile(axiom_sentence("R4"), n, ["r", "s", "t"], set())
+        quasi = _compile(parse_sentence("r;s = r, r+s = r, (r;s)^ = s -> r = s"),
+                         n, ["r", "s"], set())
+        bicond = _compile(parse_sentence("r;s = r <-> r+s = r"), n, ["r", "s"], set())
+        for r, s, t in product(range(n), repeat=3):
+            reads: list[int] = []
+            assert r4(cells, reads, r, s, t) is None
+            # r;(s;t) reads s;t first, and nothing after it
+            assert reads == [comp0 + s * n + t]
+        for r, s in product(range(n), repeat=2):
+            # a blocked antecedent does not stop a later false one
+            reads = []
+            want = True if a.add[r][s] != r else None
+            assert quasi(cells, reads, r, s) is want
+            assert comp0 + r * n + s in reads
+            # a blocked left side is not followed by the right side
+            reads = []
+            assert bicond(cells, reads, r, s) is None
+            assert reads == [comp0 + r * n + s]
 
 
 class TestMustFailSemantics:
