@@ -7,9 +7,11 @@ algebras with k atoms use the same encoding with one bit per atom.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, FiniteAlgebra, make_algebra
+from .algebra import (AlgebraError, FiniteAlgebra, derived_element,
+                      make_algebra)
 from .axioms import TARSKI, satisfies
 
 
@@ -71,69 +73,45 @@ def boolean_group(k: int) -> GroupSpec:
     return GroupSpec(n, mul, tuple(range(n)), 0)
 
 
-def _subset_name(mask: int, labels) -> str:
-    if mask == 0:
-        return "{}"
-    return "{" + ",".join(str(labels[j]) for j in range(len(labels)) if mask >> j & 1) + "}"
+def _unions(images, n: int) -> list[int]:
+    """out[x] = the union (bitwise or) of images[j] over the atoms j of x,
+    for every x < n, each from x without its lowest atom."""
+    out = [0] * n
+    for x in range(1, n):
+        low = x & -x
+        out[x] = out[x ^ low] | images[low.bit_length() - 1]
+    return out
 
 
-def group_complex(g: GroupSpec) -> FiniteAlgebra:
-    """Complex algebra of a group: powerset with element-wise product and
-    inverse, identity = {unit}."""
-    n = 1 << g.size
-    comp = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            out = 0
-            for f in range(g.size):
-                if x >> f & 1:
-                    for h in range(g.size):
-                        if y >> h & 1:
-                            out |= 1 << g.mul[f][h]
-            comp[x][y] = out
-    conv = []
-    for x in range(n):
-        out = 0
-        for f in range(g.size):
-            if x >> f & 1:
-                out |= 1 << g.inv[f]
-        conv.append(out)
+def _complex_algebra(k, atom_comp, atom_conv, ident, names) -> FiniteAlgebra:
+    """The algebra of all subsets of k atoms: + is union, - is complement,
+    and ; and ^ extend additively from the atoms, where atom_comp[f][h] and
+    atom_conv[f] are bitmasks of atoms."""
+    n = 1 << k
+    atom_rows = [_unions(row, n) for row in atom_comp]  # atom_rows[f][y] = f;y
+    cols = [_unions([row[y] for row in atom_rows], n) for y in range(n)]
+    comp = [[col[x] for col in cols] for x in range(n)]
+    conv = _unions(atom_conv, n)
     add = [[x | y for y in range(n)] for x in range(n)]
     neg = [x ^ (n - 1) for x in range(n)]
-    names = [_subset_name(x, list(range(g.size))) for x in range(n)]
-    return make_algebra(n, add, neg, comp, conv, 1 << g.unit, names)
+    return make_algebra(n, add, neg, comp, conv, ident, names)
 
 
-def complex_of_partial_groupoid(p: PartialGroupoidSpec) -> FiniteAlgebra:
-    """Same construction as group_complex; undefined products contribute
-    nothing to the complex product."""
-    n = 1 << p.size
-    comp = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            out = 0
-            for f in range(p.size):
-                if x >> f & 1:
-                    for h in range(p.size):
-                        if y >> h & 1 and p.mul[f][h] is not None:
-                            out |= 1 << p.mul[f][h]
-            comp[x][y] = out
-    conv = []
-    for x in range(n):
-        out = 0
-        for f in range(p.size):
-            if x >> f & 1:
-                out |= 1 << p.inv[f]
-        conv.append(out)
-    add = [[x | y for y in range(n)] for x in range(n)]
-    neg = [x ^ (n - 1) for x in range(n)]
-    names = [_subset_name(x, list(range(p.size))) for x in range(n)]
-    return make_algebra(n, add, neg, comp, conv, 1 << p.unit, names)
+def group_complex(g: GroupSpec | PartialGroupoidSpec) -> FiniteAlgebra:
+    """Complex algebra of a group or partial groupoid: powerset with
+    element-wise product and inverse, identity = {unit}.  Undefined products
+    contribute nothing to the complex product."""
+    atom_comp = [[0 if p is None else 1 << p for p in row] for row in g.mul]
+    names = ["{" + ",".join(str(j) for j in range(g.size) if x >> j & 1) + "}"
+             for x in range(1 << g.size)]
+    return _complex_algebra(g.size, atom_comp, [1 << i for i in g.inv],
+                            1 << g.unit, names)
 
 
-def _boolean_names(k: int, atom_labels=None) -> list[str]:
-    if atom_labels is None:
-        atom_labels = [f"a{j}" for j in range(k)]
+complex_of_partial_groupoid = group_complex
+
+
+def _boolean_names(k: int) -> list[str]:
     names = []
     for mask in range(1 << k):
         if mask == 0:
@@ -141,32 +119,21 @@ def _boolean_names(k: int, atom_labels=None) -> list[str]:
         elif mask == (1 << k) - 1:
             names.append("1")
         else:
-            names.append("+".join(atom_labels[j] for j in range(k) if mask >> j & 1))
+            names.append("+".join(f"a{j}" for j in range(k) if mask >> j & 1))
     return names
 
 
 def boolean_ra(k: int = 1) -> FiniteAlgebra:
     """Boolean relation algebra on 2**k elements: r;s = r.s, r^ = r, 1' = 1."""
-    n = 1 << k
-    add = [[x | y for y in range(n)] for x in range(n)]
-    neg = [x ^ (n - 1) for x in range(n)]
-    comp = [[x & y for y in range(n)] for x in range(n)]
-    conv = list(range(n))
-    return make_algebra(n, add, neg, comp, conv, n - 1, _boolean_names(k))
+    atoms = [1 << f for f in range(k)]
+    atom_comp = [[p if p == q else 0 for q in atoms] for p in atoms]
+    return _complex_algebra(k, atom_comp, atoms, (1 << k) - 1, _boolean_names(k))
 
 
 def m3() -> FiniteAlgebra:
     """The minimal set relation algebra on a three-element set.  Elements
-    are bitmasks over the atoms 1' (bit 0) and 0' (bit 1)."""
-    comp = [
-        [0, 0, 0, 0],
-        [0, 1, 2, 3],
-        [0, 2, 3, 3],
-        [0, 3, 3, 3],
-    ]
-    add = [[x | y for y in range(4)] for x in range(4)]
-    neg = [x ^ 3 for x in range(4)]
-    return make_algebra(4, add, neg, comp, [0, 1, 2, 3], 1, ["0", "1'", "0'", "1"])
+    are bitmasks over the atoms 1' (bit 0) and 0' (bit 1), with 0';0' = 1."""
+    return _complex_algebra(2, [[1, 2], [2, 3]], [1, 2], 1, ["0", "1'", "0'", "1"])
 
 
 def z3_complex() -> FiniteAlgebra:
@@ -176,25 +143,9 @@ def z3_complex() -> FiniteAlgebra:
 def lyndon_d() -> FiniteAlgebra:
     """The eight-element algebra with atoms 1', a, b where a;a = b;b = 1 and
     a;b = b;a = 0'; converse is the identity.  Bits: 1'=1, a=2, b=4."""
-    atom_comp = {
-        (1, 1): 1, (1, 2): 2, (1, 4): 4,
-        (2, 1): 2, (2, 2): 7, (2, 4): 6,
-        (4, 1): 4, (4, 2): 6, (4, 4): 7,
-    }
-    comp = [[0] * 8 for _ in range(8)]
-    for x in range(8):
-        for y in range(8):
-            out = 0
-            for p in (1, 2, 4):
-                if x & p:
-                    for q in (1, 2, 4):
-                        if y & q:
-                            out |= atom_comp[(p, q)]
-            comp[x][y] = out
-    add = [[x | y for y in range(8)] for x in range(8)]
-    neg = [x ^ 7 for x in range(8)]
+    atom_comp = [[1, 2, 4], [2, 7, 6], [4, 6, 7]]
     names = ["0", "1'", "a", "1'+a", "b", "1'+b", "0'", "1"]
-    return make_algebra(8, add, neg, comp, list(range(8)), 1, names)
+    return _complex_algebra(3, atom_comp, [1, 2, 4], 1, names)
 
 
 def a1(k: int = 1) -> FiniteAlgebra:
@@ -255,13 +206,12 @@ def a5(k: int = 1, ident: int = 1) -> FiniteAlgebra:
     return make_algebra(n, base.add, base.neg, comp, base.conv, ident, base.names)
 
 
-def b5(base: FiniteAlgebra | None = None, ident: int | None = None) -> FiniteAlgebra:
+def b5(base: FiniteAlgebra | None = None, ident: int = 0) -> FiniteAlgebra:
     """Breaks R5 differently: a relation algebra with the identity constant
-    pointed at the wrong element (default: the zero element)."""
+    pointed at the wrong element (default: element 0, the zero of every
+    bitmask-encoded algebra)."""
     if base is None:
         base = m3()
-    if ident is None:
-        ident = 0
     if ident == base.ident:
         raise AlgebraError("b5 needs an ident different from the true identity")
     return make_algebra(base.size, base.add, base.neg, base.comp, base.conv,
@@ -273,7 +223,7 @@ def a6(base: FiniteAlgebra | None = None) -> FiniteAlgebra:
     if base is None:
         base = m3()
     n = base.size
-    zero = base.neg[base.add[base.ident][base.neg[base.ident]]]
+    zero = derived_element(base, "zero")
     return make_algebra(n, base.add, base.neg, base.comp, [zero] * n,
                         base.ident, base.names)
 
@@ -300,7 +250,7 @@ def is_symmetric_integral(a: FiniteAlgebra) -> bool:
         return False
     if not satisfies(a, TARSKI):
         return False
-    zero = a.neg[a.add[a.ident][a.neg[a.ident]]]
+    zero = derived_element(a, "zero")
     for r in range(a.size):
         for s in range(a.size):
             if a.comp[r][s] == zero and r != zero and s != zero:
@@ -315,7 +265,7 @@ def a8(base: FiniteAlgebra | None = None) -> FiniteAlgebra:
         base = boolean_ra(1)
     if not is_symmetric_integral(base):
         raise AlgebraError("a8 needs a symmetric integral relation algebra")
-    zero = base.neg[base.add[base.ident][base.neg[base.ident]]]
+    zero = derived_element(base, "zero")
     one = base.neg[zero]
     comp = [list(row) for row in base.comp]
     comp[zero][zero] = one
@@ -378,49 +328,50 @@ def b10() -> FiniteAlgebra:
 
 # --- the model registry -----------------------------------------------------
 
-def _build_a6(base="m3"):
-    return a6(build_model(base))
-
-
-def _build_b5(base="m3", ident=0):
-    return b5(build_model(base), int(ident))
-
-
-def _build_a8(base="bra[k=1]"):
-    return a8(build_model(base))
-
-
 MODEL_BUILDERS = {
     "m3": m3,
     "z3c": z3_complex,
     "d": lyndon_d,
-    "bra": lambda k=1: boolean_ra(int(k)),
-    "a1": lambda k=1: a1(int(k)),
+    "bra": boolean_ra,
+    "a1": a1,
     "a2": a2,
-    "a3": lambda k=1: a3(int(k)),
+    "a3": a3,
     "a4": a4,
-    "a5": lambda k=1, ident=1: a5(int(k), int(ident)),
-    "b5": _build_b5,
-    "a6": _build_a6,
-    "a7": lambda k=2, ident=1: a7(int(k), int(ident)),
-    "a8": _build_a8,
+    "a5": a5,
+    "b5": b5,
+    "a6": a6,
+    "a7": a7,
+    "a8": a8,
     "a9": a9,
-    "a10": lambda k=1: a10(int(k)),
+    "a10": a10,
     "b9": b9,
     "b10": b10,
 }
 
 
 def parse_model_id(text: str):
-    """Split a model id like "a7[k=2,ident=1]" into name and kwargs."""
+    """Split a model id like "a7[k=2,ident=1]" into name and kwargs.  Only
+    top-level commas separate parameters, so a value may itself be a model
+    id, as in "a6[base=bra[k=2]]"."""
     text = text.strip()
-    if "[" not in text:
+    if "[" not in text and "]" not in text:
         return text, {}
-    if not text.endswith("]"):
+    name, _, params = text.partition("[")
+    if not params.endswith("]"):
         raise AlgebraError(f"malformed model id {text!r}")
-    name, _, params = text[:-1].partition("[")
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(params[:-1]):
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            break
+        if ch == "," and depth == 0:
+            items.append(params[start:i])
+            start = i + 1
+    if depth:
+        raise AlgebraError(f"unbalanced brackets in model id {text!r}")
+    items.append(params[start:-1])
     kwargs = {}
-    for item in params.split(","):
+    for item in items:
         if not item:
             continue
         key, sep, value = item.partition("=")
@@ -431,12 +382,17 @@ def parse_model_id(text: str):
 
 
 def build_model(model_id: str) -> FiniteAlgebra:
-    """Build a catalog model from its string id."""
+    """Build a catalog model from its string id.  A ``base`` parameter names
+    another catalog model; every other parameter is an integer."""
     name, kwargs = parse_model_id(model_id)
     try:
         builder = MODEL_BUILDERS[name]
     except KeyError:
         raise AlgebraError(f"unknown model {name!r}") from None
+    for key, value in kwargs.items():
+        if key not in inspect.signature(builder).parameters:
+            raise AlgebraError(f"model {name!r} has no parameter {key!r}")
+        kwargs[key] = build_model(value) if key == "base" else int(value)
     return builder(**kwargs)
 
 

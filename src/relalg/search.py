@@ -149,7 +149,7 @@ def _compile(s: Sentence, n: int, names, folded):
     return namespace["check"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Instance:
     """One ground instance of a must-hold sentence: its compiled checker,
     the values of its variables, and the version of its subscriptions."""
@@ -166,7 +166,8 @@ class _Engine:
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
         self.cells: list[int | None] = [None] * self.total
-        self.watch: list[list] = [[] for _ in range(self.total)]
+        # watch[c]: instance -> version of the subscription that read cell c
+        self.watch: list[dict] = [{} for _ in range(self.total)]
         self.propagate = propagate
         self.must_hold = must_hold
         self.instances: list[_Instance] = []
@@ -200,7 +201,7 @@ class _Engine:
                 if check(cells, reads, *values) is False:
                     ok = False
                 for c in set(reads):
-                    watch[c].append((inst, 0))
+                    watch[c][inst] = 0
         return ok
 
     def set_cell(self, cell, value, trail):
@@ -236,18 +237,18 @@ class _Engine:
             watchers = watch[c]
             if not watchers:
                 continue
-            watch[c] = []
-            for inst, version in watchers:
+            watch[c] = {}
+            for inst, version in watchers.items():
                 if version != inst.version:
                     continue
                 reads: list[int] = []
                 result = inst.check(cells, reads, *inst.values)
                 # re-subscribe even on violation so the instance keeps
-                # watching after the branch is undone
+                # watching after the branch is undone; the order of a cell's
+                # watchers does not matter, as all live ones are rechecked
                 inst.version = version = version + 1
-                entry = (inst, version)
                 for r in set(reads):
-                    watch[r].append(entry)
+                    watch[r][inst] = version
                 rechecks += 1
                 if result is False:
                     ok = False

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 
 from relalg import golden
@@ -95,6 +97,68 @@ class TestComplexAlgebras:
     def test_b10_vs_golden(self):
         assert golden.compare_table(b10(), "comp", golden.B10_ORDER,
                                     golden.B10_COMP) == []
+
+
+def _group_atoms(g):
+    """A group or partial groupoid as atom product, inverse and unit, on
+    sets of elements: X;Y = {f.h : f in X, h in Y, f.h defined} and
+    X^ = {f^-1 : f in X}."""
+    return (g.size, lambda f, h: {g.mul[f][h]} - {None},
+            lambda f: {g.inv[f]}, {g.unit})
+
+
+def _symmetric_atoms(k, table, ident):
+    """Atom products from a table of atom sets; converse fixes every atom."""
+    return k, lambda f, h: table[f][h], lambda f: {f}, ident
+
+
+def _s3():
+    """The symmetric group on three points, the smallest non-abelian group,
+    so that a transposed complex product shows."""
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms)
+                for p in perms)
+    inv = tuple(index[tuple(p.index(i) for i in range(3))] for p in perms)
+    return GroupSpec(6, mul, inv, index[(0, 1, 2)])
+
+
+_BOOLEAN = [[{f} if f == h else set() for h in range(3)] for f in range(3)]
+# atoms 0 = 1' and 1 = 0'
+_M3 = [[{0}, {1}], [{1}, {0, 1}]]
+# atoms 0 = 1', 1 = a, 2 = b
+_D = [[{0}, {1}, {2}], [{1}, {0, 1, 2}, {1, 2}], [{2}, {1, 2}, {0, 1, 2}]]
+
+COMPLEX_CASES = {
+    **{f"cyclic{n}": (lambda n=n: group_complex(cyclic_group(n)),
+                      _group_atoms(cyclic_group(n))) for n in range(1, 6)},
+    **{f"boolean_group{k}": (lambda k=k: group_complex(boolean_group(k)),
+                             _group_atoms(boolean_group(k))) for k in range(1, 4)},
+    "s3": (lambda: group_complex(_s3()), _group_atoms(_s3())),
+    "mckinsey": (lambda: complex_of_partial_groupoid(mckinsey_partial_groupoid()),
+                 _group_atoms(mckinsey_partial_groupoid())),
+    **{f"bra{k}": (lambda k=k: boolean_ra(k),
+                   _symmetric_atoms(k, _BOOLEAN, set(range(k)))) for k in range(1, 4)},
+    "m3": (m3, _symmetric_atoms(2, _M3, {0})),
+    "lyndon_d": (lyndon_d, _symmetric_atoms(3, _D, {0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+def test_complex_algebra_matches_set_definition(name):
+    build, (k, times, inverse, unit) = COMPLEX_CASES[name]
+    a = build()
+    sets = [frozenset(j for j in range(k) if x >> j & 1) for x in range(1 << k)]
+    index = {x: i for i, x in enumerate(sets)}
+    assert a.size == len(sets)
+    assert a.ident == index[frozenset(unit)]
+    for (i, x), (j, y) in product(enumerate(sets), repeat=2):
+        assert a.add[i][j] == index[x | y]
+        assert a.comp[i][j] == index[frozenset().union(
+            *(times(f, h) for f in x for h in y))], (x, y)
+    for i, x in enumerate(sets):
+        assert a.neg[i] == index[frozenset(range(k)) - x]
+        assert a.conv[i] == index[frozenset().union(*(inverse(f) for f in x))]
 
 
 class TestDiffModels:
@@ -197,6 +261,21 @@ class TestRegistry:
         assert build_model("bra[k=3]").size == 8
         with pytest.raises(AlgebraError):
             build_model("nope")
+
+    def test_nested_model_ids(self):
+        assert parse_model_id("a8[base=a7[k=2,ident=1]]") == \
+            ("a8", {"base": "a7[k=2,ident=1]"})
+        assert build_model("a6[base=bra[k=2]]") == a6(boolean_ra(2))
+        assert build_model("b5[base=bra[k=2],ident=1]") == b5(boolean_ra(2), 1)
+        for text in ("a8[base=a7[k=2]", "a6[base=bra]k=2]]", "m3]"):
+            with pytest.raises(AlgebraError, match="model id"):
+                parse_model_id(text)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(AlgebraError, match="'x'"):
+            build_model("a7[x=1]")
+        with pytest.raises(AlgebraError, match="'k'"):
+            build_model("z3c[k=1]")
 
     def test_every_listed_model_builds(self):
         for mid in list_models():

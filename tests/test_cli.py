@@ -115,6 +115,19 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
+    def test_bad_model_ids(self, capsys):
+        code, _, err = run(capsys, "show", "a7[x=1]")
+        assert code == 2
+        assert "'x'" in err
+        code, _, err = run(capsys, "show", "a8[base=a7[k=2]")
+        assert code == 2
+        assert "unbalanced" in err
+
+    def test_nested_model_id(self, capsys):
+        code, out, _ = run(capsys, "show", "a6[base=bra[k=2]]", "--json")
+        assert code == 0
+        assert from_json(out).size == 4
+
     def test_model_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(to_json(m3()))

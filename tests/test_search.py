@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -7,8 +8,9 @@ import pytest
 from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
 from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
 from relalg.catalog import a2, a7, build_model, list_models
-from relalg.search import (SearchSpec, _compile, _layout, boolean_guided_search,
-                           naive_enumerate, search, verify_minimality)
+from relalg.search import (SearchSpec, _compile, _Instance, _layout,
+                           boolean_guided_search, naive_enumerate, search,
+                           verify_minimality)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -167,6 +169,22 @@ class TestCompiledChecker:
                 reads = []
                 assert folded(cells, reads, *values) is want, (text, values)
                 assert reads == []
+
+    def test_watch_holds_each_instance_once(self, monkeypatch):
+        # a recheck re-subscribes its instance to every cell it read; the
+        # cell must replace the instance's old entry rather than add one
+        engine = sys.modules["relalg.search"]  # relalg.search is the function
+        engines, run = [], engine._run
+        monkeypatch.setattr(engine, "_run", lambda spec, eng, *rest:
+                            engines.append(eng) or run(spec, eng, *rest))
+        spec = SearchSpec(8, _axioms(i for i in TARSKI if i != "R9"),
+                          _axioms(("R9",)), up_to_iso=True, node_limit=1000)
+        assert not boolean_guided_search(spec).exhaustive
+        (eng,) = engines
+        for watchers in eng.watch:
+            held = list(watchers)
+            assert all(isinstance(inst, _Instance) for inst in held)
+            assert len({id(inst) for inst in held}) == len(held)
 
     def test_blocking_rules(self):
         a = build_model("m3")
