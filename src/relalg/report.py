@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism, to_json
 from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
-                     exists_right_identity, failing_axioms,
-                     is_independence_model, satisfies, status_vector)
+                     exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
 from .search import (SearchResult, SearchSpec, boolean_guided_search, search,
                      verify_minimality)
-from .terms import holds
+from .terms import check_validity, holds
 from . import golden
 
 PASS = "pass"
@@ -120,14 +119,13 @@ def _named_env(a: FiniteAlgebra, env: dict) -> dict:
     return {k: a.name_of(v) for k, v in sorted(env.items())}
 
 
-def _independence_evidence(a: FiniteAlgebra, system, target):
-    status = status_vector(a, system)
-    ok = failing_axioms(status) == [target]
+def _independence_evidence(verdict, a: FiniteAlgebra, system, target):
+    status = {i: verdict(a, i) for i in system}
     witness = status.get(target)
     ev = {"failing": failing_axioms(status)}
     if witness is not None:
         ev["witness"] = _named_env(a, witness)
-    return ok, ev
+    return ev["failing"] == [target], ev
 
 
 def _fails_at(a: FiniteAlgebra, axiom_id: str, names_env: dict):
@@ -191,27 +189,27 @@ _SSYS_SUITE = (
 )
 
 
-def _lemma_implication(population, hypotheses, conclusions):
+def _lemma_implication(verdict, population, hypotheses, conclusions):
     """Every model satisfying all hypotheses must satisfy every conclusion."""
     applicable = 0
     for mid, a in population:
-        if not satisfies(a, hypotheses):
+        if any(verdict(a, h) is not None for h in hypotheses):
             continue
         applicable += 1
         for c in conclusions:
-            if not satisfies(a, (c,)):
+            if verdict(a, c) is not None:
                 return False, {"model": mid, "violates": c}
     return True, {"population": len(population), "applicable": applicable}
 
 
-def _lemma_equivalence(population, hypotheses, s1, s2):
+def _lemma_equivalence(verdict, population, hypotheses, s1, s2):
     """Under the hypotheses, s1 and s2 must agree on every model."""
     applicable = 0
     for mid, a in population:
-        if not satisfies(a, hypotheses):
+        if any(verdict(a, h) is not None for h in hypotheses):
             continue
         applicable += 1
-        if satisfies(a, (s1,)) != satisfies(a, (s2,)):
+        if (verdict(a, s1) is None) != (verdict(a, s2) is None):
             return False, {"model": mid, "disagree": [s1, s2]}
     return True, {"population": len(population), "applicable": applicable}
 
@@ -310,6 +308,15 @@ def run_verification_suite(include_long_running: bool = False,
                            long_node_limit: int | None = 50_000) -> Report:
     claims: list[Claim] = []
     models = {mid: build_model(mid) for mid in list_models()}
+    # one check_validity per (model object, axiom): every model checked stays
+    # alive in ``models`` or ``population``, so no id is reused in a run
+    verdicts: dict[tuple[int, str], dict | None] = {}
+
+    def verdict(a, axiom_id):
+        key = id(a), axiom_id
+        if key not in verdicts:
+            verdicts[key] = check_validity(a, axiom_sentence(axiom_id))
+        return verdicts[key]
 
     def run(claim_id, description, kind, fn):
         """``fn`` returns (verdict, evidence); a None verdict means the
@@ -337,7 +344,7 @@ def run_verification_suite(include_long_running: bool = False,
             run(cid, f"{mid} fails exactly {target} within {sysname}",
                 "independence",
                 lambda mid=mid, sysname=sysname, target=target:
-                    _independence_evidence(models[mid], SYSTEMS[sysname], target))
+                    _independence_evidence(verdict, models[mid], SYSTEMS[sysname], target))
 
     # (e) extra facts
     run("paper.witness.stated-counterexamples",
@@ -359,13 +366,12 @@ def run_verification_suite(include_long_running: bool = False,
     run("paper.s12.b10-r10-independence",
         "b10 is an alternative independence model for R10",
         "extra-fact",
-        lambda: _independence_evidence(models["b10"], TARSKI, "R10"))
+        lambda: _independence_evidence(verdict, models["b10"], TARSKI, "R10"))
 
     def b5_fact():
         a = models["b5"]
         e = exists_right_identity(a)
-        ok = (e is not None and not satisfies(a, ("R5",))
-              and is_independence_model(a, TARSKI, "R5"))
+        ok = e is not None and _independence_evidence(verdict, a, TARSKI, "R5")[0]
         return ok, {"right_identity": None if e is None else a.name_of(e)}
     run("paper.s8.b5-right-identity",
         "b5 has a right identity element yet fails R5", "extra-fact", b5_fact)
@@ -380,7 +386,9 @@ def run_verification_suite(include_long_running: bool = False,
     ]
     for cid, target, system, size, cert in minimality_jobs:
         def fn(target=target, system=system, size=size, cert=cert):
-            rep = verify_minimality(target, system, size, models[cert])
+            rep = verify_minimality(target, system, size)
+            rep.certified = (models[cert].size == size and _independence_evidence(
+                verdict, models[cert], system, target)[0])
             ev = {
                 "sizes": [
                     {"size": o.size, "models": o.model_count,
@@ -465,32 +473,32 @@ def run_verification_suite(include_long_running: bool = False,
         "with the Boolean axioms, converse involution, and left "
         "distributivity, R10 and R11p agree on every model",
         "lemma-semantic",
-        lambda: _lemma_equivalence(population,
+        lambda: _lemma_equivalence(verdict, population,
                                    ("R1", "R2", "R3", "R6", "R8p"),
                                    "R10", "R11p"))
     run("paper.s13.r8-equiv-r8p",
         "with R6, R7, R9, the two distributive laws agree on every model",
         "lemma-semantic",
-        lambda: _lemma_equivalence(population, ("R6", "R7", "R9"),
+        lambda: _lemma_equivalence(verdict, population, ("R6", "R7", "R9"),
                                    "R8", "R8p"))
     run("paper.s13.implies-r7",
         "R1-R5 with R11p force R7 on every model", "lemma-semantic",
-        lambda: _lemma_implication(population,
+        lambda: _lemma_implication(verdict, population,
                                    ("R1", "R2", "R3", "R4", "R5", "R11p"),
                                    ("R7",)))
     run("paper.s15.implies-r9",
         "R1-R3, R5, R8 with R11p force R9 on every model", "lemma-semantic",
-        lambda: _lemma_implication(population,
+        lambda: _lemma_implication(verdict, population,
                                    ("R1", "R2", "R3", "R5", "R8", "R11p"),
                                    ("R9",)))
     run("paper.s13.rsys-implies-r7-r8",
         "every model of the reduced system also satisfies R7 and R8",
         "lemma-semantic",
-        lambda: _lemma_implication(population, R_SYS, ("R7", "R8")))
+        lambda: _lemma_implication(verdict, population, R_SYS, ("R7", "R8")))
     run("paper.s15.ssys-implies-r7-r9",
         "every model of the distributivity-based system also satisfies "
         "R7 and R9", "lemma-semantic",
-        lambda: _lemma_implication(population, S_SYS, ("R7", "R9")))
+        lambda: _lemma_implication(verdict, population, S_SYS, ("R7", "R9")))
 
     claims.sort(key=lambda c: c.claim_id)
     return Report(__version__, claims)

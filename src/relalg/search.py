@@ -8,8 +8,9 @@ straight-line function over the flat cell array (``_compile``); cells
 preset before the search, such as the guided search's Boolean part, are
 read as constants and never watched.  An instance, that function with one
 tuple of element values, is re-checked whenever a cell it last read
-changes, and a violated instance cuts the branch.  ``must_fail``
-sentences are only tested on complete tables.
+changes, and a violated instance cuts the branch; the checker re-subscribes
+it in place to each cell as it reads it, so a recheck allocates nothing.
+``must_fail`` sentences are only tested on complete tables.
 
 ``naive_enumerate`` is an independent brute-force oracle used to
 cross-check the backtracking engine at tiny sizes.
@@ -24,7 +25,7 @@ from itertools import product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
                       make_algebra)
-from .axioms import axiom_sentence
+from .axioms import axiom_sentence, is_independence_model
 from .terms import (Add, Biconditional, Comp, Conv, Equation, IdentConst,
                     Inclusion, Meet, Neg, OneConst, QuasiEquation, Sentence,
                     Var, ZeroConst, check_validity, free_vars)
@@ -65,19 +66,18 @@ def _layout(n):
 
 
 def _compile(s: Sentence, n: int, names, folded):
-    """Compile ``s`` at size ``n`` into ``check(cells, reads, *values)``
-    (values bound to ``names`` in order), which returns True, False, or
-    None on an undecided cell.  It reads cells in evaluation order and
-    appends each to ``reads``, the blocking cell included, except cells of
-    the regions whose base offset is in ``folded``: those never change and
-    are read without a test.  A repeated subterm is evaluated once.  A
-    quasi-equation is True at its first false antecedent and blocks if
-    any antecedent blocked; a biconditional blocks on its left side
-    before evaluating its right."""
+    """Compile ``s`` at size ``n`` into ``check(cells, watch, inst, ver,
+    *values)`` (values bound to ``names`` in order), which returns True,
+    False, or None on an undecided cell.  It reads cells in evaluation order
+    and subscribes ``inst`` to each as it reads it, the blocking cell
+    included, by ``watch[k][inst] = ver``; cells of the regions whose base
+    offset is in ``folded`` never change and are neither tested nor watched.
+    A repeated subterm is evaluated once.  A quasi-equation is True at its
+    first false antecedent and blocks if any antecedent blocked; a
+    biconditional blocks on its left side before evaluating its right."""
     _, neg0, conv0, add0, comp0, _ = _layout(n)
     args = {name: f"v{i}" for i, name in enumerate(names)}
-    lines = ["def check(cells, reads, " + ", ".join(args.values()) + "):",
-             "    ap = reads.append"]
+    lines = ["def check(cells, watch, inst, ver, " + ", ".join(args.values()) + "):"]
     memo: dict = {}
     indent, block = "    ", "return None"  # what an undecided cell runs
 
@@ -90,7 +90,7 @@ def _compile(s: Sentence, n: int, names, folded):
             emit(f"{t} = cells[{base} + {index}]")
         else:
             emit(f"k = {base} + {index}")
-            emit(f"ap(k); {t} = cells[k]")
+            emit(f"watch[k][inst] = ver; {t} = cells[k]")
             emit(f"if {t} is None: {block}")
         return t
 
@@ -168,6 +168,7 @@ class _Engine:
         self.cells: list[int | None] = [None] * self.total
         # watch[c]: instance -> version of the subscription that read cell c
         self.watch: list[dict] = [{} for _ in range(self.total)]
+        self.sink: list[dict] = [{}] * self.total  # one scratch dict
         self.propagate = propagate
         self.must_hold = must_hold
         self.instances: list[_Instance] = []
@@ -197,11 +198,8 @@ class _Engine:
             for values in product(range(n), repeat=len(names)):
                 inst = _Instance(check, values)
                 self.instances.append(inst)
-                reads: list[int] = []
-                if check(cells, reads, *values) is False:
+                if check(cells, watch, inst, 0, *values) is False:
                     ok = False
-                for c in set(reads):
-                    watch[c][inst] = 0
         return ok
 
     def set_cell(self, cell, value, trail):
@@ -241,16 +239,11 @@ class _Engine:
             for inst, version in watchers.items():
                 if version != inst.version:
                     continue
-                reads: list[int] = []
-                result = inst.check(cells, reads, *inst.values)
-                # re-subscribe even on violation so the instance keeps
-                # watching after the branch is undone; the order of a cell's
-                # watchers does not matter, as all live ones are rechecked
+                # the check re-subscribes even on violation, so the instance
+                # keeps watching after the branch is undone
                 inst.version = version = version + 1
-                for r in set(reads):
-                    watch[r][inst] = version
                 rechecks += 1
-                if result is False:
+                if inst.check(cells, watch, inst, version, *inst.values) is False:
                     ok = False
             if not ok:
                 break
@@ -262,10 +255,10 @@ class _Engine:
             self.cells[c] = None
 
     def complete_check(self):
-        """Full re-verification once every cell is decided.  Leaves the
-        watch subscriptions untouched."""
+        """Full re-verification once every cell is decided.  Its checks
+        subscribe to ``sink``, leaving ``watch`` untouched."""
         for inst in self.instances:
-            if inst.check(self.cells, [], *inst.values) is not True:
+            if inst.check(self.cells, self.sink, inst, 0, *inst.values) is not True:
                 return False
         return True
 
@@ -512,7 +505,6 @@ def verify_minimality(target: str, system, claimed_size: int,
         report.outcomes.append(SizeOutcome(
             size, res.iso_class_count, res.exhaustive, None, res.nodes_explored))
     if certificate is not None:
-        from .axioms import is_independence_model
         report.certified = (certificate.size == claimed_size and
                             is_independence_model(certificate, system, target))
     return report

@@ -1,11 +1,14 @@
 import json
+import sys
 
 import pytest
 
 from relalg import cli
 from relalg.algebra import from_json, make_algebra, to_json
+from relalg.axioms import SYSTEMS, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
-from relalg.report import (Claim, Report, _golden_claims, render_model,
+from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
+                           Report, _golden_claims, render_model,
                            run_verification_suite)
 
 
@@ -131,3 +134,35 @@ class TestSuiteSmoke:
         ids = [c.claim_id for c in report.claims]
         assert ids == sorted(ids)
         json.dumps(report.to_dict())
+
+
+class TestVerdictTable:
+    def test_each_model_axiom_pair_checked_once_per_run(self, monkeypatch):
+        suite = sys.modules["relalg.report"]
+        check, calls = suite.check_validity, []
+
+        def spy(a, s):
+            calls.append((id(a), s))
+            return check(a, s)
+        monkeypatch.setattr(suite, "check_validity", spy)
+        assert run_verification_suite().overall == "pass"
+        first = len(calls)
+        assert first and len(set(calls)) == first
+        # nothing is carried from one run to the next
+        calls.clear()
+        assert run_verification_suite().overall == "pass"
+        assert len(calls) == first
+
+    def test_independence_evidence_matches_status_vector(self):
+        by_id = {c.claim_id: c for c in run_verification_suite().claims}
+        jobs = _TARSKI_SUITE + _RSYS_SUITE + _SSYS_SUITE + [
+            ("paper.s12.b10-r10-independence", "b10", "tarski", "R10")]
+        for cid, mid, sysname, target in jobs:
+            a = build_model(mid)
+            status = status_vector(a, SYSTEMS[sysname])
+            want = {"failing": failing_axioms(status)}
+            if status[target] is not None:
+                want["witness"] = {var: a.name_of(v)
+                                   for var, v in sorted(status[target].items())}
+            assert by_id[cid].evidence == want, cid
+            assert by_id[cid].status == "pass", cid

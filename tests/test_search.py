@@ -134,6 +134,18 @@ EXTRA_SENTENCES = ("r <= s, s <= t -> r <= t", "r.1 = 0 + r",
                    "r;s = 0, 1;r = r -> s.r^ = 0")
 
 
+class _Recorder:
+    """A ``watch`` stand-in for calling a compiled checker directly: it
+    records in ``reads`` every cell the checker subscribes to."""
+
+    def __init__(self):
+        self.reads: list[int] = []
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return {}
+
+
 def _cells(a):
     """The engine's cell array of a complete algebra."""
     cells = [a.ident, *a.neg, *a.conv]
@@ -163,12 +175,12 @@ class TestCompiledChecker:
             folded = _compile(s, n, names, every_region)
             for values in product(range(n), repeat=len(names)):
                 want = holds(a, s, dict(zip(names, values)))
-                reads: list[int] = []
-                assert plain(cells, reads, *values) is want, (text, values)
-                assert reads
-                reads = []
-                assert folded(cells, reads, *values) is want, (text, values)
-                assert reads == []
+                watch = _Recorder()
+                assert plain(cells, watch, None, 0, *values) is want, (text, values)
+                assert watch.reads
+                watch = _Recorder()
+                assert folded(cells, watch, None, 0, *values) is want, (text, values)
+                assert watch.reads == []
 
     def test_watch_holds_each_instance_once(self, monkeypatch):
         # a recheck re-subscribes its instance to every cell it read; the
@@ -186,6 +198,21 @@ class TestCompiledChecker:
             assert all(isinstance(inst, _Instance) for inst in held)
             assert len({id(inst) for inst in held}) == len(held)
 
+    def test_complete_check_leaves_subscriptions(self, monkeypatch):
+        engine = sys.modules["relalg.search"]
+        full_check, calls = engine._Engine.complete_check, []
+
+        def spy(eng):
+            before = [list(w.items()) for w in eng.watch]
+            result = full_check(eng)
+            assert [list(w.items()) for w in eng.watch] == before
+            calls.append(result)
+            return result
+        monkeypatch.setattr(engine._Engine, "complete_check", spy)
+        runner, spec, _, _ = PINNED_COUNTS["tarski-r7-size4"]
+        assert runner(spec).iso_class_count >= 1
+        assert True in calls
+
     def test_blocking_rules(self):
         a = build_model("m3")
         n = a.size
@@ -197,20 +224,20 @@ class TestCompiledChecker:
                          n, ["r", "s"], set())
         bicond = _compile(parse_sentence("r;s = r <-> r+s = r"), n, ["r", "s"], set())
         for r, s, t in product(range(n), repeat=3):
-            reads: list[int] = []
-            assert r4(cells, reads, r, s, t) is None
+            watch = _Recorder()
+            assert r4(cells, watch, None, 0, r, s, t) is None
             # r;(s;t) reads s;t first, and nothing after it
-            assert reads == [comp0 + s * n + t]
+            assert watch.reads == [comp0 + s * n + t]
         for r, s in product(range(n), repeat=2):
             # a blocked antecedent does not stop a later false one
-            reads = []
+            watch = _Recorder()
             want = True if a.add[r][s] != r else None
-            assert quasi(cells, reads, r, s) is want
-            assert comp0 + r * n + s in reads
+            assert quasi(cells, watch, None, 0, r, s) is want
+            assert comp0 + r * n + s in watch.reads
             # a blocked left side is not followed by the right side
-            reads = []
-            assert bicond(cells, reads, r, s) is None
-            assert reads == [comp0 + r * n + s]
+            watch = _Recorder()
+            assert bicond(cells, watch, None, 0, r, s) is None
+            assert watch.reads == [comp0 + r * n + s]
 
 
 class TestMustFailSemantics:
