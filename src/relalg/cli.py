@@ -52,6 +52,8 @@ def _parse_axiom_list(text: str) -> list[str]:
         lo, sep, hi = item.partition("-")
         if sep and lo.startswith("R") and lo[1:].isdigit() and \
            hi.startswith("R") and hi[1:].isdigit():
+            if int(lo[1:]) > int(hi[1:]):
+                raise ValueError(f"reversed axiom range {item!r}")
             for n in range(int(lo[1:]), int(hi[1:]) + 1):
                 out.append(f"R{n}")
         else:

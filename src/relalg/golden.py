@@ -32,11 +32,12 @@ Z3_COMP = [
 Z3_CONV = ["{}", "{0}", "{2}", "{1}", "{0,2}", "{0,1}", "{1,2}", "{0,1,2}"]
 
 D_ORDER = ["0", "1'", "a", "b", "1'+a", "1'+b", "0'", "1"]
-D_ATOM_COMP = {  # Table of relative products of the three atoms
-    ("1'", "1'"): "1'", ("1'", "a"): "a", ("1'", "b"): "b",
-    ("a", "1'"): "a", ("a", "a"): "1", ("a", "b"): "0'",
-    ("b", "1'"): "b", ("b", "a"): "0'", ("b", "b"): "1",
-}
+D_ATOMS = ["1'", "a", "b"]
+D_ATOM_COMP = [  # Table of relative products of the three atoms
+    ["1'", "a", "b"],
+    ["a", "1", "0'"],
+    ["b", "0'", "1"],
+]
 D_COMP = [
     ["0"] * 8,
     ["0", "1'", "a", "b", "1'+a", "1'+b", "0'", "1"],

@@ -43,8 +43,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be at least 1")
-        if self.up_to_iso and self.size > 8:
-            raise ValueError("up-to-isomorphism search limited to size <= 8")
+        if self.size > 8:
+            raise ValueError("search limited to size <= 8")
 
 
 @dataclass
@@ -213,8 +213,6 @@ class _Engine:
             c = queue[qi]
             qi += 1
             for target, deps in self.derived_by_dep.get(c, ()):
-                if self.cells[target] is not None:
-                    continue
                 acc = 0
                 for d in deps:
                     v = self.cells[d]
@@ -276,12 +274,11 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     """DFS over ``variables`` (list of cell ids); collect complete tables
     that satisfy must_hold and falsify every must_fail sentence.
 
-    Up to size 8 both counts come from the leaves' canonical forms:
-    iso_class_count is the number of distinct forms and labeled_count the
-    orbit sum n!/|Aut| over them, so they count every labeling even when
-    the search fixed part of the tables (a run cut short by its node budget
-    counts the classes it reached).  Above size 8 both are the number of
-    leaves."""
+    Both counts come from the leaves' canonical forms: iso_class_count is
+    the number of distinct forms and labeled_count the orbit sum n!/|Aut|
+    over them, so they count every labeling even when the search fixed
+    part of the tables (a run cut short by its node budget counts the
+    classes it reached)."""
     n = spec.size
     models: list[FiniteAlgebra] = []
     seen_forms: dict[bytes, FiniteAlgebra] = {}
@@ -298,8 +295,7 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
         for s in spec.must_fail:
             if check_validity(alg, s) is None:
                 return
-        if n <= 8:
-            seen_forms.setdefault(canonical_form(alg), alg)
+        seen_forms.setdefault(canonical_form(alg), alg)
         if not spec.up_to_iso:
             models.append(alg)
 
@@ -307,8 +303,6 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
 
     def dfs(depth):
         nonlocal nodes, exhausted
-        if not exhausted:
-            return
         nodes += 1
         if limit is not None and nodes > limit:
             exhausted = False
@@ -317,9 +311,6 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
             accept()
             return
         cell = variables[depth]
-        if eng.cells[cell] is not None:  # already fixed or derived
-            dfs(depth + 1)
-            return
         domain = ident_domain if cell == eng.ident_cell else range(n)
         for value in domain:
             trail: list[int] = []
@@ -333,12 +324,8 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
-    if n > 8:
-        labeled = classes = len(models)
-    else:
-        labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
-        classes = len(seen_forms)
-    return SearchResult(models, labeled, classes, exhausted, nodes, eng.rechecks)
+    labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
+    return SearchResult(models, labeled, len(seen_forms), exhausted, nodes, eng.rechecks)
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -449,7 +436,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
                             continue
                         count += 1
                         models.append(alg)
-    iso = len({canonical_form(m) for m in models}) if n <= 8 else count
+    iso = len({canonical_form(m) for m in models})
     return SearchResult(models, count, iso, True, count)
 
 
@@ -480,8 +467,7 @@ class MinimalityReport:
 
 
 def verify_minimality(target: str, system, claimed_size: int,
-                      certificate: FiniteAlgebra | None = None,
-                      node_limit: int | None = None) -> MinimalityReport:
+                      certificate: FiniteAlgebra | None = None) -> MinimalityReport:
     """Search every admissible size below ``claimed_size`` for independence
     models of ``target`` within ``system`` (expecting none) and confirm the
     certificate algebra at the claimed size."""
@@ -496,8 +482,7 @@ def verify_minimality(target: str, system, claimed_size: int,
             report.outcomes.append(SizeOutcome(
                 size, 0, True, "not a power of two: no Boolean skeleton"))
             continue
-        spec = SearchSpec(size, must_hold, must_fail, up_to_iso=True,
-                          node_limit=node_limit)
+        spec = SearchSpec(size, must_hold, must_fail, up_to_iso=True)
         if boolean_ok:
             res = boolean_guided_search(spec)
         else:

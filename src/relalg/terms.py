@@ -154,6 +154,12 @@ def _tokenize(text: str):
     return tokens
 
 
+# the binary operators, loosest first; unary operators bind tighter still
+_BINARY = (("+", Add), (".", Meet), (";", Comp))
+_UNARY, _ATOM = len(_BINARY), len(_BINARY) + 1
+_PRECEDENCE = {op: (lv, node) for lv, (op, node) in enumerate(_BINARY)}
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -176,26 +182,16 @@ class _Parser:
         kind, val, _ = self.peek()
         return kind == "punct" and val in values
 
-    def term(self) -> Term:
-        t = self.meet_term()
-        while self.at_punct("+"):
-            self.next()
-            t = Add(t, self.meet_term())
-        return t
-
-    def meet_term(self) -> Term:
-        t = self.relprod()
-        while self.at_punct("."):
-            self.next()
-            t = Meet(t, self.relprod())
-        return t
-
-    def relprod(self) -> Term:
+    def term(self, level=0) -> Term:
+        """A term whose binary operators all come from ``_BINARY[level:]``,
+        each associating to the left (precedence climbing)."""
         t = self.unary()
-        while self.at_punct(";"):
+        while True:
+            lv, node = _PRECEDENCE.get(self.peek()[1], (-1, None))
+            if lv < level:
+                return t
             self.next()
-            t = Comp(t, self.unary())
-        return t
+            t = node(t, self.term(lv + 1))
 
     def unary(self) -> Term:
         if self.at_punct("-"):
@@ -270,10 +266,9 @@ def parse_sentence(text: str) -> Sentence:
 
 # --- printing --------------------------------------------------------------
 
-_LEVEL = {"add": 0, "meet": 1, "comp": 2, "unary": 3, "atom": 4}
-
-
 def _print_term(t: Term, level: int) -> str:
+    """``t`` as an operand at ``level``, an index into ``_BINARY`` or
+    ``_UNARY``/``_ATOM``, parenthesized if it binds more loosely."""
     if isinstance(t, Var):
         return t.name
     if isinstance(t, IdentConst):
@@ -283,21 +278,16 @@ def _print_term(t: Term, level: int) -> str:
     if isinstance(t, OneConst):
         return "1"
     if isinstance(t, Neg):
-        s = "-" + _print_term(t.child, _LEVEL["unary"])
-        return s if level <= _LEVEL["unary"] else f"({s})"
+        s = "-" + _print_term(t.child, _UNARY)
+        return s if level <= _UNARY else f"({s})"
     if isinstance(t, Conv):
         # the operand of postfix ^ must be an atom
-        return _print_term(t.child, _LEVEL["atom"]) + "^"
-    if isinstance(t, Add):
-        op, lv = "+", _LEVEL["add"]
-    elif isinstance(t, Meet):
-        op, lv = ".", _LEVEL["meet"]
-    elif isinstance(t, Comp):
-        op, lv = ";", _LEVEL["comp"]
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    s = _print_term(t.left, lv) + op + _print_term(t.right, lv + 1)
-    return s if level <= lv else f"({s})"
+        return _print_term(t.child, _ATOM) + "^"
+    for lv, (op, node) in enumerate(_BINARY):
+        if isinstance(t, node):
+            s = _print_term(t.left, lv) + op + _print_term(t.right, lv + 1)
+            return s if level <= lv else f"({s})"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def term_to_str(t: Term) -> str:

@@ -24,6 +24,10 @@ class TestAxiomListParsing:
     def test_empty(self):
         assert _parse_axiom_list("") == []
 
+    def test_reversed_range(self):
+        with pytest.raises(ValueError, match="'R3-R1'"):
+            _parse_axiom_list("R2,R3-R1")
+
 
 class TestCommands:
     def test_list_models(self, capsys):
@@ -102,6 +106,13 @@ class TestCommands:
         assert code == 3
         assert json.loads(out)["exhaustive"] is False
         assert json.loads(out)["rechecks"] == 0  # no sentence to watch
+
+    def test_search_usage_errors(self, capsys):
+        code, _, err = run(capsys, "search", "--size", "2",
+                           "--hold", "R3-R1", "--iso")
+        assert code == 2 and "R3-R1" in err
+        code, _, err = run(capsys, "search", "--size", "9")
+        assert code == 2 and "size" in err
 
     def test_search_json(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "1", "--json")

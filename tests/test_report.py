@@ -37,17 +37,25 @@ class TestRenderModel:
 
 
 class TestFaultInjection:
-    def test_corrupted_comp_cell_is_located(self):
-        a = m3()
-        comp = [list(row) for row in a.comp]
-        comp[2][1] = 3  # 0';1' should be 0'
+    # (model, claim, corrupted cell, wrong value, right value)
+    @pytest.mark.parametrize("model_id, claim_id, row, col, got, want", [
+        pytest.param("m3", "paper.s3.table1-m3", "0'", "1'", "1", "0'", id="m3"),
+        pytest.param("d", "paper.s3.tables4-5-lyndon-d", "a", "b", "1", "0'",
+                     id="d"),
+    ])
+    def test_corrupted_comp_cell_is_located(self, model_id, claim_id, row,
+                                            col, got, want):
+        a = build_model(model_id)
+        idx = {name: i for i, name in enumerate(a.names)}
+        comp = [list(r) for r in a.comp]
+        comp[idx[row]][idx[col]] = idx[got]
         bad = make_algebra(a.size, a.add, a.neg, comp, a.conv, a.ident, a.names)
         models = {mid: build_model(mid) for mid in list_models()}
-        models["m3"] = bad
+        models[model_id] = bad
         claims = {cid: fn for cid, _, fn in _golden_claims(models)}
-        ok, evidence = claims["paper.s3.table1-m3"]()
+        ok, evidence = claims[claim_id]()
         assert not ok
-        assert ("comp", "0'", "1'", "1", "0'") in evidence["mismatches"]
+        assert ("comp", row, col, got, want) in evidence["mismatches"]
 
     def test_uncorrupted_claim_passes(self):
         models = {mid: build_model(mid) for mid in list_models()}

@@ -51,6 +51,8 @@ class TestEngineBasics:
             SearchSpec(0, ())
         with pytest.raises(ValueError):
             SearchSpec(9, (), up_to_iso=True)
+        with pytest.raises(ValueError):
+            SearchSpec(9, ())
 
 
 class TestOracleCrossChecks:
@@ -128,6 +130,15 @@ PINNED_COUNTS = {
         _axioms(("R4",)), up_to_iso=True), 1937, 160343),
 }
 
+
+def _run_pinned(name):
+    """Run a pinned search with a budget of exactly its pinned nodes, so that
+    one that lost its pruning stops there and fails at once instead of
+    running on.  Returns the result and the pinned (nodes, rechecks)."""
+    runner, spec, nodes, rechecks = PINNED_COUNTS[name]
+    return runner(replace(spec, node_limit=nodes)), nodes, rechecks
+
+
 # sentences beyond the catalog: the constants 0 and 1, meet, and
 # quasi-equations with several antecedents
 EXTRA_SENTENCES = ("r <= s, s <= t -> r <= t", "r.1 = 0 + r",
@@ -158,8 +169,7 @@ def _cells(a):
 class TestCompiledChecker:
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_pinned_counts(self, name):
-        runner, spec, nodes, rechecks = PINNED_COUNTS[name]
-        res = runner(spec)
+        res, nodes, rechecks = _run_pinned(name)
         assert res.exhaustive
         assert (res.nodes_explored, res.rechecks) == (nodes, rechecks)
 
@@ -209,8 +219,8 @@ class TestCompiledChecker:
             calls.append(result)
             return result
         monkeypatch.setattr(engine._Engine, "complete_check", spy)
-        runner, spec, _, _ = PINNED_COUNTS["tarski-r7-size4"]
-        assert runner(spec).iso_class_count >= 1
+        res, _, _ = _run_pinned("tarski-r7-size4")
+        assert res.iso_class_count >= 1
         assert True in calls
 
     def test_blocking_rules(self):
@@ -280,9 +290,7 @@ class TestBooleanGuidedSearch:
         assert len(guided.models) == 1  # only the bitmask labeling
 
     def test_finds_a7_at_size_four(self):
-        spec = SearchSpec(4, _axioms(i for i in TARSKI if i != "R7"),
-                          _axioms(("R7",)), up_to_iso=True)
-        res = boolean_guided_search(spec)
+        res, _, _ = _run_pinned("tarski-r7-size4")
         assert res.exhaustive
         assert res.iso_class_count >= 1
         assert any(find_isomorphism(m, a7()) for m in res.models)
@@ -290,9 +298,7 @@ class TestBooleanGuidedSearch:
 
 class TestUniquenessAtSizeThree:
     def test_r2_model_is_unique(self):
-        spec = SearchSpec(3, _axioms(i for i in TARSKI if i != "R2"),
-                          _axioms(("R2",)), up_to_iso=True)
-        res = search(spec)
+        res, _, _ = _run_pinned("tarski-r2-size3")
         assert res.exhaustive
         assert res.iso_class_count == 1
         assert find_isomorphism(res.models[0], a2()) is not None
@@ -306,7 +312,13 @@ class TestMinimality:
         assert [o.size for o in rep.outcomes] == [1, 2]
         assert all(o.model_count == 0 and o.exhaustive for o in rep.outcomes)
 
-    def test_r9_below_eight_skips_non_powers(self):
+    def test_r9_below_eight_skips_non_powers(self, monkeypatch):
+        # each search gets the budget the size-4 one needs, 1,402 nodes, so
+        # one that lost its pruning stops there and fails at once
+        engine = sys.modules["relalg.search"]
+        guided = engine.boolean_guided_search
+        monkeypatch.setattr(engine, "boolean_guided_search",
+                            lambda spec: guided(replace(spec, node_limit=1402)))
         rep = verify_minimality("R9", TARSKI, 8, build_model("a9"))
         searched = [o.size for o in rep.outcomes if o.skipped_reason is None]
         skipped = [o.size for o in rep.outcomes if o.skipped_reason]
