@@ -152,12 +152,14 @@ def cmd_independence(args) -> int:
 
 
 def cmd_search(args) -> int:
-    must_hold = tuple(axiom_sentence(i) for i in _parse_axiom_list(args.hold or ""))
+    hold = list(dict.fromkeys(_parse_axiom_list(args.hold or "")))
+    must_hold = tuple(axiom_sentence(i) for i in hold)
     must_fail = tuple(axiom_sentence(i) for i in _parse_axiom_list(args.fail or ""))
     spec = SearchSpec(args.size, must_hold, must_fail, up_to_iso=args.iso,
                       node_limit=args.limit)
     runner = boolean_guided_search if args.guided else search
     res = runner(spec)
+    conflicts = dict(zip(hold, res.conflicts))
     if args.json:
         doc = {
             "size": args.size,
@@ -166,6 +168,7 @@ def cmd_search(args) -> int:
             "exhaustive": res.exhaustive,
             "nodes_explored": res.nodes_explored,
             "rechecks": res.rechecks,
+            "conflicts": conflicts,
             "models": [json.loads(to_json(m)) for m in res.models],
         }
         print(json.dumps(doc, indent=1))
@@ -175,6 +178,8 @@ def cmd_search(args) -> int:
         print(f"exhaustive:     {res.exhaustive}")
         print(f"nodes explored: {res.nodes_explored}")
         print(f"rechecks:       {res.rechecks}")
+        print("conflicts:      " + (", ".join(
+            f"{i} {c}" for i, c in conflicts.items()) or "none"))
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))

@@ -10,6 +10,11 @@ read as constants and never watched.  An instance, that function with one
 tuple of element values, is re-checked whenever a cell it last read
 changes, and a violated instance cuts the branch; the checker re-subscribes
 it in place to each cell as it reads it, so a recheck allocates nothing.
+A propagation step stops at its first violated instance, which moves to the
+front of its cell's watch so that the next value tried there meets it first;
+the watchers not reached keep their subscriptions.  No instance is violated
+before a step, so whether it fails depends on the new cells alone: the order
+changes the number of rechecks, never the nodes.
 ``must_fail`` sentences are only tested on complete tables.
 
 ``naive_enumerate`` is an independent brute-force oracle used to
@@ -55,6 +60,8 @@ class SearchResult:
     exhaustive: bool
     nodes_explored: int
     rechecks: int = 0  # instance re-evaluations run by the watchers
+    # failed propagation steps per must-hold sentence, aligned with must_hold
+    conflicts: tuple[int, ...] = ()
 
 
 # --- cell layout ------------------------------------------------------------
@@ -173,6 +180,7 @@ class _Engine:
         self.must_hold = must_hold
         self.instances: list[_Instance] = []
         self.rechecks = 0
+        self.conflicts: dict[Callable, int] = {}  # checker -> failed steps
         # derived cells: target -> (dep cells, all at once, value = OR of deps)
         self.derived_by_dep: dict[int, list] = {}
 
@@ -195,6 +203,7 @@ class _Engine:
         for s in self.must_hold:
             names = sorted(free_vars(s))
             check = _compile(s, n, names, folded)
+            self.conflicts[check] = 0
             for values in product(range(n), repeat=len(names)):
                 inst = _Instance(check, values)
                 self.instances.append(inst)
@@ -204,7 +213,10 @@ class _Engine:
 
     def set_cell(self, cell, value, trail):
         """Assign a cell, fill any now-determined derived cells, and run the
-        watchers of everything that changed.  Returns False on conflict."""
+        watchers of everything that changed.  Returns False at the first
+        violated instance, counted as its sentence's conflict and moved to
+        the front of the cell's watch; the watchers not reached stay
+        subscribed for after the undo."""
         queue = [cell]
         self.cells[cell] = value
         trail.append(cell)
@@ -227,26 +239,30 @@ class _Engine:
         if not self.propagate:
             return True
         cells, watch = self.cells, self.watch
-        ok = True
         rechecks = 0
         for c in queue:
             watchers = watch[c]
             if not watchers:
                 continue
             watch[c] = {}
-            for inst, version in watchers.items():
+            entries = iter(watchers.items())
+            for inst, version in entries:
                 if version != inst.version:
                     continue
-                # the check re-subscribes even on violation, so the instance
-                # keeps watching after the branch is undone
                 inst.version = version = version + 1
                 rechecks += 1
                 if inst.check(cells, watch, inst, version, *inst.values) is False:
-                    ok = False
-            if not ok:
-                break
+                    # the culprit first, then the watchers rechecked before
+                    # it, then those not reached with their old subscriptions
+                    fresh = {inst: version}
+                    fresh.update(watch[c])
+                    fresh.update(entries)
+                    watch[c] = fresh
+                    self.rechecks += rechecks
+                    self.conflicts[inst.check] += 1
+                    return False
         self.rechecks += rechecks
-        return ok
+        return True
 
     def undo(self, trail):
         for c in trail:
@@ -286,7 +302,7 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     exhausted = True
 
     if not eng.prime():
-        return SearchResult([], 0, 0, True, 0)
+        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
     def accept():
         if not eng.complete_check():
@@ -325,7 +341,8 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
-    return SearchResult(models, labeled, len(seen_forms), exhausted, nodes, eng.rechecks)
+    return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
+                        eng.rechecks, tuple(eng.conflicts.values()))
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -372,7 +389,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
             raise ValueError("boolean_guided_search needs R1, R2, R3 in must_hold")
     n = spec.size
     if n & (n - 1):
-        return SearchResult([], 0, 0, True, 0)
+        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
     eng = _Engine(n, spec.must_hold, spec.propagate)
     for i in range(n):

@@ -97,6 +97,20 @@ class TestCommands:
         assert code == 0
         assert "labeled models: 0" in out
 
+    def test_search_conflicts_per_axiom(self, capsys):
+        # a repeated id is held once, so each id names one count
+        argv = ("search", "--size", "2", "--hold", "R1,R3-R10,R1", "--fail",
+                "R2", "--iso")
+        code, out, _ = run(capsys, *argv, "--json")
+        conflicts = json.loads(out)["conflicts"]
+        assert list(conflicts) == ["R1", "R3", "R4", "R5", "R6", "R7", "R8",
+                                   "R9", "R10"]
+        assert conflicts["R1"] > 0
+        code, out, _ = run(capsys, *argv)
+        line = next(ln for ln in out.splitlines() if ln.startswith("conflicts:"))
+        assert line.split(":", 1)[1].strip().split(", ") == [
+            f"{i} {c}" for i, c in conflicts.items()]
+
     def test_search_budget_reached_exit_code(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
         assert code == 3

@@ -17,5 +17,5 @@ def test_demo_runs(demo):
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
-                          timeout=300)
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr

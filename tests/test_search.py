@@ -113,30 +113,33 @@ def _search8_spec():
     return SearchSpec(8, must_hold, _axioms(("R9",)), up_to_iso=True)
 
 
-# (runner, spec, nodes_explored, rechecks), as the AST-walking instance
-# checker that preceded the compiled one counted them
+# (runner, spec, nodes_explored, rechecks, failed propagation steps), as
+# this engine counts them: a step stops at its first violated instance, and
+# that instance is rechecked first the next time its cell is set
 PINNED_COUNTS = {
-    "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(), 1307, 274336),
+    "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
+                                1307, 101607, 9010),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 8439, 218700),
+        up_to_iso=True), 8439, 87371, 16871),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 1025, 52050),
+        up_to_iso=True), 1025, 20902, 3055),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1937, 160343),
+        _axioms(("R4",)), up_to_iso=True), 1937, 49209, 5811),
 }
 
 
 def _run_pinned(name):
     """Run a pinned search with a budget of exactly its pinned nodes, so that
     one that lost its pruning stops there and fails at once instead of
-    running on.  Returns the result and the pinned (nodes, rechecks)."""
-    runner, spec, nodes, rechecks = PINNED_COUNTS[name]
-    return runner(replace(spec, node_limit=nodes)), nodes, rechecks
+    running on.  Returns the result and the pinned (nodes, rechecks,
+    failed steps)."""
+    runner, spec, *counts = PINNED_COUNTS[name]
+    return runner(replace(spec, node_limit=counts[0])), *counts
 
 
 # sentences beyond the catalog: the constants 0 and 1, meet, and
@@ -169,9 +172,11 @@ def _cells(a):
 class TestCompiledChecker:
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_pinned_counts(self, name):
-        res, nodes, rechecks = _run_pinned(name)
+        res, *counts = _run_pinned(name)
         assert res.exhaustive
-        assert (res.nodes_explored, res.rechecks) == (nodes, rechecks)
+        # a failed step has exactly one culprit, counted for its sentence
+        assert len(res.conflicts) == len(PINNED_COUNTS[name][1].must_hold)
+        assert [res.nodes_explored, res.rechecks, sum(res.conflicts)] == counts
 
     @pytest.mark.parametrize("model_id", list_models())
     def test_agrees_with_holds(self, model_id):
@@ -219,9 +224,41 @@ class TestCompiledChecker:
             calls.append(result)
             return result
         monkeypatch.setattr(engine._Engine, "complete_check", spy)
-        res, _, _ = _run_pinned("tarski-r7-size4")
+        res, *_ = _run_pinned("tarski-r7-size4")
         assert res.iso_class_count >= 1
         assert True in calls
+
+    def test_every_read_cell_is_watched(self, monkeypatch):
+        # what lets a step stop at its first violated instance: after a
+        # successful step and after an undo, every instance is subscribed at
+        # its current version to each cell its check reads, including the
+        # watchers a failed step did not reach
+        engine = sys.modules["relalg.search"]
+        set_cell, undo = engine._Engine.set_cell, engine._Engine.undo
+        checked = []
+
+        def assert_subscribed(eng):
+            checked.append(eng)
+            for inst in eng.instances:
+                watch = _Recorder()
+                inst.check(eng.cells, watch, inst, 0, *inst.values)
+                for k in watch.reads:
+                    assert eng.watch[k].get(inst) == inst.version, (inst, k)
+
+        def spy_set_cell(eng, cell, value, trail):
+            ok = set_cell(eng, cell, value, trail)
+            if ok:
+                assert_subscribed(eng)
+            return ok
+
+        def spy_undo(eng, trail):
+            undo(eng, trail)
+            assert_subscribed(eng)
+        monkeypatch.setattr(engine._Engine, "set_cell", spy_set_cell)
+        monkeypatch.setattr(engine._Engine, "undo", spy_undo)
+        res, *_ = _run_pinned("tarski-r7-size4")
+        assert res.exhaustive
+        assert len(checked) > 4000
 
     def test_blocking_rules(self):
         a = build_model("m3")
@@ -290,7 +327,7 @@ class TestBooleanGuidedSearch:
         assert len(guided.models) == 1  # only the bitmask labeling
 
     def test_finds_a7_at_size_four(self):
-        res, _, _ = _run_pinned("tarski-r7-size4")
+        res, *_ = _run_pinned("tarski-r7-size4")
         assert res.exhaustive
         assert res.iso_class_count >= 1
         assert any(find_isomorphism(m, a7()) for m in res.models)
@@ -298,7 +335,7 @@ class TestBooleanGuidedSearch:
 
 class TestUniquenessAtSizeThree:
     def test_r2_model_is_unique(self):
-        res, _, _ = _run_pinned("tarski-r2-size3")
+        res, *_ = _run_pinned("tarski-r2-size3")
         assert res.exhaustive
         assert res.iso_class_count == 1
         assert find_isomorphism(res.models[0], a2()) is not None
