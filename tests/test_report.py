@@ -8,7 +8,7 @@ from relalg.algebra import from_json, make_algebra, to_json
 from relalg.axioms import SYSTEMS, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
-                           Report, _golden_claims, render_model,
+                           Report, _golden_claims, _lemma, render_model,
                            run_verification_suite)
 
 
@@ -174,3 +174,22 @@ class TestVerdictTable:
                                    for var, v in sorted(status[target].items())}
             assert by_id[cid].evidence == want, cid
             assert by_id[cid].status == "pass", cid
+
+
+class TestLemma:
+    def test_counterexample_evidence(self):
+        # a stand-in verdict: each model fails exactly the axioms listed
+        fails = {"p": set(), "q": {"R8"}, "r": {"R8", "R8p", "R9"}}
+
+        def verdict(a, axiom_id):
+            return {} if axiom_id in fails[a] else None
+        population = [(mid, mid) for mid in fails]
+        assert _lemma(verdict, population, ("R9",), ("R7", "R8")) == \
+            (False, {"model": "q", "violates": "R8"})
+        assert _lemma(verdict, population, (), ("R8", "R8p"), agree=True) == \
+            (False, {"model": "q", "disagree": ["R8", "R8p"]})
+        # r fails both sides, so it agrees
+        assert _lemma(verdict, population[::2], (), ("R8", "R8p"), agree=True) == \
+            (True, {"population": 2, "applicable": 2})
+        assert _lemma(verdict, population, ("R8",), ("R7",)) == \
+            (True, {"population": 3, "applicable": 1})

@@ -53,6 +53,9 @@ class TestEngineBasics:
             SearchSpec(9, (), up_to_iso=True)
         with pytest.raises(ValueError):
             SearchSpec(9, ())
+        for limit in (0, -5):
+            with pytest.raises(ValueError):
+                SearchSpec(2, (), node_limit=limit)
 
 
 class TestOracleCrossChecks:
@@ -114,22 +117,23 @@ def _search8_spec():
 
 
 # (runner, spec, nodes_explored, rechecks, failed propagation steps), as
-# this engine counts them: a step stops at its first violated instance, and
-# that instance is rechecked first the next time its cell is set
+# this engine counts them: a step rechecks each instance at most once and
+# stops at its first violated instance, and that instance is rechecked first
+# the next time its cell is set
 PINNED_COUNTS = {
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                1307, 101607, 9010),
+                                1307, 94501, 9010),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
         up_to_iso=True), 8439, 87371, 16871),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 1025, 20902, 3055),
+        up_to_iso=True), 1025, 20276, 3055),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1937, 49209, 5811),
+        _axioms(("R4",)), up_to_iso=True), 1937, 49192, 5811),
 }
 
 
@@ -213,20 +217,63 @@ class TestCompiledChecker:
             assert all(isinstance(inst, _Instance) for inst in held)
             assert len({id(inst) for inst in held}) == len(held)
 
-    def test_complete_check_leaves_subscriptions(self, monkeypatch):
+    @pytest.mark.parametrize("runner, spec", [
+        # the mixed search prunes every branch before a leaf
+        *((runner, replace(spec, node_limit=nodes))
+          for name, (runner, spec, nodes, *_) in PINNED_COUNTS.items()
+          if name != "mixed-r4-size4"),
+        *((search, spec) for spec in ORACLE_SPECS),
+        *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS)])
+    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
+        # a propagating search checks nothing at a leaf, so its watchers
+        # must already have seen every instance hold on the leaf's cells
         engine = sys.modules["relalg.search"]
-        full_check, calls = engine._Engine.complete_check, []
+        snapshot, leaves = engine._Engine.snapshot, []
 
         def spy(eng):
-            before = [list(w.items()) for w in eng.watch]
-            result = full_check(eng)
-            assert [list(w.items()) for w in eng.watch] == before
-            calls.append(result)
-            return result
-        monkeypatch.setattr(engine._Engine, "complete_check", spy)
-        res, *_ = _run_pinned("tarski-r7-size4")
-        assert res.iso_class_count >= 1
-        assert True in calls
+            for inst in eng.instances:
+                held = inst.check(eng.cells, _Recorder(), inst, 0, *inst.values)
+                assert held is True, inst
+            leaves.append(eng)
+            return snapshot(eng)
+        monkeypatch.setattr(engine._Engine, "snapshot", spy)
+        assert runner(spec).exhaustive
+        assert leaves
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_each_step_checks_an_instance_once(self, name, monkeypatch):
+        # after prime() every check is a recheck in set_cell, none of them
+        # repeated within a step, and a leaf checks nothing
+        engine = sys.modules["relalg.search"]
+        compile_, set_cell = engine._compile, engine._Engine.set_cell
+        snapshot = engine._Engine.snapshot
+        checked, rechecks = [], []  # since the last step; in every step
+
+        def counting_compile(*args):
+            check = compile_(*args)
+
+            def counted(cells, watch, inst, ver, *values):
+                checked.append(inst)
+                return check(cells, watch, inst, ver, *values)
+            return counted
+
+        def spy_set_cell(eng, *args):
+            checked.clear()
+            ok = set_cell(eng, *args)
+            assert len(set(checked)) == len(checked)
+            rechecks.extend(checked)
+            checked.clear()
+            return ok
+
+        def spy_snapshot(eng):
+            assert checked == []
+            return snapshot(eng)
+        monkeypatch.setattr(engine, "_compile", counting_compile)
+        monkeypatch.setattr(engine._Engine, "set_cell", spy_set_cell)
+        monkeypatch.setattr(engine._Engine, "snapshot", spy_snapshot)
+        res, _, pinned, _ = _run_pinned(name)
+        assert res.exhaustive
+        assert len(rechecks) == res.rechecks == pinned
 
     def test_every_read_cell_is_watched(self, monkeypatch):
         # what lets a step stop at its first violated instance: after a
