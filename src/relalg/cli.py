@@ -165,6 +165,7 @@ def cmd_search(args) -> int:
             "size": args.size,
             **_search_result_evidence(res),
             "conflicts": conflicts,
+            "symmetry_cuts": res.symmetry_cuts,
             "models": [json.loads(to_json(m)) for m in res.models],
         }
         print(json.dumps(doc, indent=1))
@@ -176,6 +177,7 @@ def cmd_search(args) -> int:
         print(f"rechecks:       {res.rechecks}")
         print("conflicts:      " + (", ".join(
             f"{i} {c}" for i, c in conflicts.items()) or "none"))
+        print(f"symmetry cuts:  {res.symmetry_cuts}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))

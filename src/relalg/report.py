@@ -32,7 +32,7 @@ KINDS = ("independence", "minimality", "uniqueness", "lemma-semantic",
          "table-golden", "extra-fact")
 
 
-@dataclass
+@dataclass(slots=True)
 class Claim:
     claim_id: str
     description: str

@@ -21,6 +21,13 @@ in a step that runs its watchers, so at a leaf every instance's last
 evaluation returned True and a propagating search checks nothing there.
 ``must_fail`` sentences are only tested on complete tables.
 
+Up to isomorphism both searches also break symmetry by lex-leader
+constraints (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes
+relabelings that keep its preset part, and a branch is cut as soon as its
+decided cells, read in decision order, are larger than their image under
+one of them.  The lex-least labeling of every isomorphism class survives,
+so the counts, which come from canonical forms, do not change.
+
 ``naive_enumerate`` is an independent brute-force oracle used to
 cross-check the backtracking engine at tiny sizes.
 """
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
                       make_algebra)
@@ -68,6 +75,7 @@ class SearchResult:
     rechecks: int = 0  # instance re-evaluations run by the watchers
     # failed propagation steps per must-hold sentence, aligned with must_hold
     conflicts: tuple[int, ...] = ()
+    symmetry_cuts: int = 0  # branches cut by the lex-leader constraints
 
 
 # --- cell layout ------------------------------------------------------------
@@ -76,6 +84,20 @@ class SearchResult:
 def _layout(n):
     """ident, neg0, conv0, add0, comp0 and the number of cells."""
     return 0, 1, 1 + n, 1 + 2 * n, 1 + 2 * n + n * n, 1 + 2 * n + 2 * n * n
+
+
+def _relabeling(n, perm):
+    """The symmetry that renames each element x to ``perm[x]``: for each
+    cell, the cell it is read from, and the map of its value."""
+    inv = [0] * n
+    for x, y in enumerate(perm):
+        inv[y] = x
+    ident, neg0, conv0, add0, comp0, _ = _layout(n)
+    src = [ident]
+    src += [base + inv[x] for base in (neg0, conv0) for x in range(n)]
+    src += [base + inv[x] * n + inv[y] for base in (add0, comp0)
+            for x in range(n) for y in range(n)]
+    return src, tuple(perm)
 
 
 def _compile(s: Sentence, n: int, names, folded):
@@ -295,7 +317,8 @@ class _Engine:
         return make_algebra(n, add, neg, comp, conv, cells[self.ident_cell])
 
 
-def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResult:
+def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain,
+         symmetries=()) -> SearchResult:
     """DFS over ``variables`` (list of cell ids); collect complete tables
     that satisfy must_hold and falsify every must_fail sentence.
 
@@ -303,11 +326,19 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
     the number of distinct forms and labeled_count the orbit sum n!/|Aut|
     over them, so they count every labeling even when the search fixed
     part of the tables (a run cut short by its node budget counts the
-    classes it reached)."""
+    classes it reached).
+
+    ``symmetries`` (pairs from ``_relabeling``) must each carry the preset
+    and derived cells into themselves, and ``ident_domain`` must hold the
+    least identity of each of their orbits.  A branch is cut at the first
+    decided position where a variable is larger than its image; so the
+    lex-least labeling of every class, which is never larger than an image,
+    is kept.  A labeled run passes none, since it must reach every
+    labeling."""
     n = spec.size
     models: list[FiniteAlgebra] = []
     seen_forms: dict[bytes, FiniteAlgebra] = {}
-    nodes = 0
+    nodes = cuts = 0
     exhausted = True
 
     if not eng.prime():
@@ -324,10 +355,31 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
         if not spec.up_to_iso:
             models.append(alg)
 
+    def lex_leader(depth, tied):
+        """The symmetries still tied once ``variables[:depth + 1]`` are
+        decided, each as (image sources, value map, first position not yet
+        compared); None if the decided cells exceed one's image.  A
+        symmetry stays at a position whose image is undecided and drops
+        out at a position where the cells are smaller than their image."""
+        cells = eng.cells
+        still = []
+        for src, vmap, i in tied:
+            while i <= depth and cells[src[i]] is not None:
+                x, y = cells[variables[i]], vmap[cells[src[i]]]
+                if x != y:
+                    break
+                i += 1
+            else:
+                still.append((src, vmap, i))
+                continue
+            if x > y:
+                return None
+        return still
+
     limit = spec.node_limit
 
-    def dfs(depth):
-        nonlocal nodes, exhausted
+    def dfs(depth, tied):
+        nonlocal nodes, cuts, exhausted
         nodes += 1
         if limit is not None and nodes > limit:
             exhausted = False
@@ -340,24 +392,29 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain) -> SearchResul
         for value in domain:
             trail: list[int] = []
             if eng.set_cell(cell, value, trail):
-                dfs(depth + 1)
+                below = lex_leader(depth, tied)
+                if below is None:
+                    cuts += 1
+                else:
+                    dfs(depth + 1, below)
             eng.undo(trail)
             if not exhausted:
                 return
 
-    dfs(0)
+    dfs(0, [([src[v] for v in variables], vmap, 0) for src, vmap in symmetries])
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
-                        eng.rechecks, tuple(eng.conflicts.values()))
+                        eng.rechecks, tuple(eng.conflicts.values()), cuts)
 
 
 def search(spec: SearchSpec) -> SearchResult:
     """Generic cell-by-cell search.  With ``up_to_iso`` the identity is
-    pinned to element 0 (every algebra has such an isomorph) and leaves are
-    deduplicated by canonical form."""
+    pinned to element 0 (every algebra has such an isomorph), the adjacent
+    transpositions of the other elements break the remaining symmetry, and
+    leaves are deduplicated by canonical form."""
     n = spec.size
     eng = _Engine(n, spec.must_hold, spec.propagate)
     variables = [eng.ident_cell]
@@ -365,20 +422,38 @@ def search(spec: SearchSpec) -> SearchResult:
     variables += [eng.conv0 + i for i in range(n)]
     variables += [eng.add0 + i for i in range(n * n)]
     variables += [eng.comp0 + i for i in range(n * n)]
-    ident_domain = [0] if spec.up_to_iso else range(n)
-    return _run(spec, eng, variables, ident_domain)
+    if not spec.up_to_iso:
+        return _run(spec, eng, variables, range(n))
+    swaps = []
+    for i in range(1, n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        swaps.append(_relabeling(n, perm))
+    return _run(spec, eng, variables, [0], swaps)
 
 
 def _popcount_reps(n):
     """One identity candidate per atom-count: masks 0, 1, 3, 7, ...  Any
     other mask is carried to one of these by an atom permutation, which is
-    a Boolean-part automorphism."""
+    a Boolean-part automorphism, and each is the least mask of its orbit."""
     reps = [0]
     mask = 0
     while mask != n - 1:
         mask = mask << 1 | 1
         reps.append(mask)
     return reps
+
+
+def _atom_permutations(n):
+    """The nontrivial permutations of the atoms of the n-element bitmask
+    Boolean algebra, each extended to the elements by OR over atoms: every
+    automorphism of the Boolean part except the identity map."""
+    k = (n - 1).bit_length()
+    perms = []
+    for images in permutations(range(k)):
+        perms.append([sum(1 << images[b] for b in range(k) if x >> b & 1)
+                      for x in range(n)])
+    return perms[1:]  # permutations() yields the identity first
 
 
 def boolean_guided_search(spec: SearchSpec) -> SearchResult:
@@ -391,7 +466,10 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     with that bitmask Boolean part, while ``labeled_count`` counts every
     labeling by orbit sums.  With R8 (R8p) held, comp rows (columns) at
     non-atomic arguments are derived by additivity; with R9 held, converse
-    at non-atomic arguments is derived the same way.
+    at non-atomic arguments is derived the same way.  With ``up_to_iso``
+    the identity ranges over one mask per atom count, and the atom
+    permutations that fix it break the remaining symmetry (one that moves
+    it maps it higher and drops out at the identity cell).
     """
     for rid in ("R1", "R2", "R3"):
         if axiom_sentence(rid) not in spec.must_hold:
@@ -436,8 +514,10 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     variables = [eng.ident_cell]
     variables += [eng.conv0 + i for i in conv_free]
     variables += [eng.comp0 + c for c in comp_free]
-    ident_domain = _popcount_reps(n) if spec.up_to_iso else range(n)
-    return _run(spec, eng, variables, ident_domain)
+    if not spec.up_to_iso:
+        return _run(spec, eng, variables, range(n))
+    return _run(spec, eng, variables, _popcount_reps(n),
+                [_relabeling(n, perm) for perm in _atom_permutations(n)])
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:

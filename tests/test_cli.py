@@ -111,6 +111,18 @@ class TestCommands:
         assert line.split(":", 1)[1].strip().split(", ") == [
             f"{i} {c}" for i, c in conflicts.items()]
 
+    def test_search_symmetry_cuts(self, capsys):
+        # the lex-leader cut acts only up to isomorphism
+        argv = ("search", "--size", "4", "--hold", "R1-R10", "--guided")
+        for iso in (True, False):
+            flags = ("--iso",) if iso else ()
+            code, out, _ = run(capsys, *argv, *flags, "--json")
+            assert code == 0
+            cuts = json.loads(out)["symmetry_cuts"]
+            assert (cuts > 0) is iso
+            code, out, _ = run(capsys, *argv, *flags)
+            assert f"symmetry cuts:  {cuts}\n" in out
+
     def test_search_budget_reached_exit_code(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
         assert code == 3

@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
+from relalg.algebra import (automorphism_count, canonical_form,
+                            find_isomorphism, relabel)
 from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.search import (SearchSpec, _compile, _Instance, _layout,
-                           boolean_guided_search, naive_enumerate, search,
-                           verify_minimality)
+                           _popcount_reps, boolean_guided_search,
+                           naive_enumerate, search, verify_minimality)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -116,24 +117,25 @@ def _search8_spec():
     return SearchSpec(8, must_hold, _axioms(("R9",)), up_to_iso=True)
 
 
-# (runner, spec, nodes_explored, rechecks, failed propagation steps), as
-# this engine counts them: a step rechecks each instance at most once and
-# stops at its first violated instance, and that instance is rechecked first
-# the next time its cell is set
+# (runner, spec, nodes_explored, rechecks, failed propagation steps,
+# symmetry cuts), as this engine counts them: a step rechecks each instance
+# at most once and stops at its first violated instance, that instance is
+# rechecked first the next time its cell is set, and a successful step is
+# followed by the lex-leader cut
 PINNED_COUNTS = {
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                1307, 94501, 9010),
+                                955, 71983, 6540, 62),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 8439, 87371, 16871),
+        up_to_iso=True), 2681, 28863, 5342, 16),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 1025, 20276, 3055),
+        up_to_iso=True), 733, 15547, 2157, 22),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1937, 49192, 5811),
+        _axioms(("R4",)), up_to_iso=True), 1195, 32056, 3540, 45),
 }
 
 
@@ -141,7 +143,7 @@ def _run_pinned(name):
     """Run a pinned search with a budget of exactly its pinned nodes, so that
     one that lost its pruning stops there and fails at once instead of
     running on.  Returns the result and the pinned (nodes, rechecks,
-    failed steps)."""
+    failed steps, symmetry cuts)."""
     runner, spec, *counts = PINNED_COUNTS[name]
     return runner(replace(spec, node_limit=counts[0])), *counts
 
@@ -180,7 +182,8 @@ class TestCompiledChecker:
         assert res.exhaustive
         # a failed step has exactly one culprit, counted for its sentence
         assert len(res.conflicts) == len(PINNED_COUNTS[name][1].must_hold)
-        assert [res.nodes_explored, res.rechecks, sum(res.conflicts)] == counts
+        assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
+                res.symmetry_cuts] == counts
 
     @pytest.mark.parametrize("model_id", list_models())
     def test_agrees_with_holds(self, model_id):
@@ -271,7 +274,7 @@ class TestCompiledChecker:
         monkeypatch.setattr(engine, "_compile", counting_compile)
         monkeypatch.setattr(engine._Engine, "set_cell", spy_set_cell)
         monkeypatch.setattr(engine._Engine, "snapshot", spy_snapshot)
-        res, _, pinned, _ = _run_pinned(name)
+        res, _, pinned, *_ = _run_pinned(name)
         assert res.exhaustive
         assert len(rechecks) == res.rechecks == pinned
 
@@ -305,7 +308,7 @@ class TestCompiledChecker:
         monkeypatch.setattr(engine._Engine, "undo", spy_undo)
         res, *_ = _run_pinned("tarski-r7-size4")
         assert res.exhaustive
-        assert len(checked) > 4000
+        assert len(checked) > 3000
 
     def test_blocking_rules(self):
         a = build_model("m3")
@@ -332,6 +335,109 @@ class TestCompiledChecker:
             watch = _Recorder()
             assert bicond(cells, watch, None, 0, r, s) is None
             assert watch.reads == [comp0 + r * n + s]
+
+
+# specs for the up-to-iso against labeled cross-check: (runner, spec, nodes
+# of the labeled run, which is the budget of both runs, iso classes,
+# labelings); every one has a nontrivial symmetry group
+SYMMETRY_ORACLE_SPECS = {
+    # no must-fail, so both runs reach leaves; S3 acts at masks 0 and 7
+    "rsys-symmetric-size8": (boolean_guided_search,
+                             replace(_search8_spec(), must_fail=()),
+                             4486, 10, 329280),
+    "tarski-size4": (boolean_guided_search, SearchSpec(4, _axioms(TARSKI)),
+                     557, 3, 60),
+    "rsys-size4": (boolean_guided_search, SearchSpec(4, _axioms(R_SYS)),
+                   349, 3, 60),
+    **{name: (*PINNED_COUNTS[name][:2], nodes, classes, labelings)
+       for name, nodes, classes, labelings in (
+           ("rsys-r9-symmetric-size8", 4486, 0, 0),
+           ("tarski-r2-size3", 25393, 1, 6),
+           ("tarski-r7-size4", 1443, 2, 48),
+           ("mixed-r4-size4", 2911, 0, 0))},
+}
+
+
+def _symmetries(runner, spec, monkeypatch):
+    """The identity domain and the symmetries ``runner`` passes to the
+    engine for ``spec``."""
+    engine = sys.modules["relalg.search"]
+    passed, run = [], engine._run
+    monkeypatch.setattr(engine, "_run", lambda spec, eng, variables, *rest:
+                        passed.append(rest) or run(spec, eng, variables, *rest))
+    runner(replace(spec, node_limit=1))
+    ((ident_domain, symmetries),) = passed
+    return list(ident_domain), symmetries
+
+
+class TestSymmetryBreaking:
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_ORACLE_SPECS))
+    def test_iso_run_agrees_with_labeled_run(self, name):
+        runner, spec, nodes, classes, labelings = SYMMETRY_ORACLE_SPECS[name]
+        iso = runner(replace(spec, up_to_iso=True, node_limit=nodes))
+        labeled = runner(replace(spec, up_to_iso=False, node_limit=nodes))
+        assert iso.exhaustive and labeled.exhaustive
+        assert labeled.nodes_explored == nodes
+        assert iso.symmetry_cuts > 0 and labeled.symmetry_cuts == 0
+        assert _forms(iso.models) == sorted({canonical_form(m)
+                                             for m in labeled.models})
+        assert iso.iso_class_count == labeled.iso_class_count == classes
+        assert iso.labeled_count == labeled.labeled_count == labelings
+        # the labeled run lists each class once per relabeling its fixed
+        # part allows: all n! for the generic search, the k! atom
+        # permutations for the guided one
+        n = spec.size
+        group = math.factorial(n if runner is search else (n - 1).bit_length())
+        assert len(labeled.models) == sum(group // automorphism_count(m)
+                                          for m in iso.models)
+
+    @pytest.mark.parametrize("n, fixing", [(1, [0]), (2, [0, 0]),
+                                           (4, [1, 0, 1]), (8, [5, 1, 1, 5])])
+    def test_guided_symmetries(self, n, fixing, monkeypatch):
+        # every Boolean automorphism but the identity map; those fixing an
+        # identity mask act below it, and the others map it higher, so they
+        # drop out at the identity cell without cutting
+        spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
+        ident_domain, symmetries = _symmetries(boolean_guided_search, spec,
+                                               monkeypatch)
+        assert ident_domain == _popcount_reps(n)
+        top = n - 1
+        k = top.bit_length()
+        assert len(symmetries) == math.factorial(k) - 1
+        assert len({vmap for _, vmap in symmetries}) == len(symmetries)
+        for _, vmap in symmetries:
+            assert sorted(vmap) == list(range(n)) != list(vmap)
+            for x, y in product(range(n), repeat=2):
+                assert vmap[x | y] == vmap[x] | vmap[y]
+                assert vmap[x ^ top] == vmap[x] ^ top
+            assert all(vmap[rep] >= rep for rep in ident_domain)
+        assert [sum(vmap[rep] == rep for _, vmap in symmetries)
+                for rep in ident_domain] == fixing
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_generic_symmetries(self, n, monkeypatch):
+        # the adjacent transpositions of the elements other than 0, the
+        # pinned identity; at size 3 the one swap is the whole group
+        ident_domain, symmetries = _symmetries(search, SearchSpec(
+            n, (), up_to_iso=True), monkeypatch)
+        assert ident_domain == [0]
+        want = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+                for i in range(1, n - 1)]
+        assert [vmap for _, vmap in symmetries] == want
+
+    @pytest.mark.parametrize("runner, model_id", [
+        (search, "a2"), (boolean_guided_search, "a9")])
+    def test_image_sources_relabel_every_cell(self, runner, model_id,
+                                              monkeypatch):
+        # each cell of the relabeled tables is the value map applied to the
+        # cell it is read from
+        a = build_model(model_id)
+        spec = SearchSpec(a.size, _axioms(("R1", "R2", "R3")), up_to_iso=True)
+        _, symmetries = _symmetries(runner, spec, monkeypatch)
+        assert symmetries
+        cells = _cells(a)
+        for src, vmap in symmetries:
+            assert _cells(relabel(a, vmap)) == [vmap[cells[k]] for k in src]
 
 
 class TestMustFailSemantics:
@@ -397,12 +503,12 @@ class TestMinimality:
         assert all(o.model_count == 0 and o.exhaustive for o in rep.outcomes)
 
     def test_r9_below_eight_skips_non_powers(self, monkeypatch):
-        # each search gets the budget the size-4 one needs, 1,402 nodes, so
+        # each search gets the budget the size-4 one needs, 975 nodes, so
         # one that lost its pruning stops there and fails at once
         engine = sys.modules["relalg.search"]
         guided = engine.boolean_guided_search
         monkeypatch.setattr(engine, "boolean_guided_search",
-                            lambda spec: guided(replace(spec, node_limit=1402)))
+                            lambda spec: guided(replace(spec, node_limit=975)))
         rep = verify_minimality("R9", TARSKI, 8, build_model("a9"))
         searched = [o.size for o in rep.outcomes if o.skipped_reason is None]
         skipped = [o.size for o in rep.outcomes if o.skipped_reason]
