@@ -265,8 +265,25 @@ def to_json(a: FiniteAlgebra) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _nested(value, depth, entry) -> bool:
+    """Whether ``value`` is an ``entry`` inside ``depth`` levels of lists."""
+    if depth == 0:
+        return type(value) is entry
+    return type(value) is list and all(_nested(v, depth - 1, entry) for v in value)
+
+
 def from_json(text: str) -> FiniteAlgebra:
+    """Read the model file format.  AlgebraError unless the document is an
+    object whose fields have the types ``to_json`` writes."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise AlgebraError("a model file must hold a JSON object")
+    for key, depth in {"size": 0, "add": 2, "neg": 1, "comp": 2, "conv": 1,
+                       "ident": 0}.items():
+        if not _nested(doc.get(key), depth, int):
+            raise AlgebraError(f"model field {key!r}: expected {'list of ' * depth}int")
+    if doc.get("names") is not None and not _nested(doc["names"], 1, str):
+        raise AlgebraError("model field 'names': expected list of str")
     return make_algebra(
         doc["size"], doc["add"], doc["neg"], doc["comp"], doc["conv"],
         doc["ident"], doc.get("names"),

@@ -14,6 +14,8 @@ from .algebra import (AlgebraError, FiniteAlgebra, derived_element,
                       make_algebra)
 from .axioms import TARSKI, satisfies
 
+MAX_ATOMS = 8  # 256 elements; each further atom quadruples every table
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -68,6 +70,8 @@ def cyclic_group(n: int) -> GroupSpec:
 
 def boolean_group(k: int) -> GroupSpec:
     """Elementary abelian 2-group of order 2**k (every element self-inverse)."""
+    if k > MAX_ATOMS:
+        raise AlgebraError(f"at most {MAX_ATOMS} generators, got {k}")
     n = 1 << k
     mul = tuple(tuple(i ^ j for j in range(n)) for i in range(n))
     return GroupSpec(n, mul, tuple(range(n)), 0)
@@ -86,7 +90,9 @@ def _unions(images, n: int) -> list[int]:
 def _complex_algebra(k, atom_comp, atom_conv, ident, names) -> FiniteAlgebra:
     """The algebra of all subsets of k atoms: + is union, - is complement,
     and ; and ^ extend additively from the atoms, where atom_comp[f][h] and
-    atom_conv[f] are bitmasks of atoms."""
+    atom_conv[f] are bitmasks of atoms; ``names`` is read after k is checked."""
+    if k > MAX_ATOMS:
+        raise AlgebraError(f"at most {MAX_ATOMS} atoms, got {k}")
     n = 1 << k
     atom_rows = [_unions(row, n) for row in atom_comp]  # atom_rows[f][y] = f;y
     cols = [_unions([row[y] for row in atom_rows], n) for y in range(n)]
@@ -102,8 +108,8 @@ def group_complex(g: GroupSpec | PartialGroupoidSpec) -> FiniteAlgebra:
     element-wise product and inverse, identity = {unit}.  Undefined products
     contribute nothing to the complex product."""
     atom_comp = [[0 if p is None else 1 << p for p in row] for row in g.mul]
-    names = ["{" + ",".join(str(j) for j in range(g.size) if x >> j & 1) + "}"
-             for x in range(1 << g.size)]
+    names = ("{" + ",".join(str(j) for j in range(g.size) if x >> j & 1) + "}"
+             for x in range(1 << g.size))
     return _complex_algebra(g.size, atom_comp, [1 << i for i in g.inv],
                             1 << g.unit, names)
 
@@ -111,16 +117,14 @@ def group_complex(g: GroupSpec | PartialGroupoidSpec) -> FiniteAlgebra:
 complex_of_partial_groupoid = group_complex
 
 
-def _boolean_names(k: int) -> list[str]:
-    names = []
+def _boolean_names(k: int):
     for mask in range(1 << k):
         if mask == 0:
-            names.append("0")
+            yield "0"
         elif mask == (1 << k) - 1:
-            names.append("1")
+            yield "1"
         else:
-            names.append("+".join(f"a{j}" for j in range(k) if mask >> j & 1))
-    return names
+            yield "+".join(f"a{j}" for j in range(k) if mask >> j & 1)
 
 
 def boolean_ra(k: int = 1) -> FiniteAlgebra:

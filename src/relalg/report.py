@@ -190,6 +190,28 @@ _SSYS_SUITE = (
     ]
 )
 
+# Semantic lemmas, checked by ``_lemma`` over the catalog and the models of
+# every finished search: (claim id, description, hypotheses, conclusions, agree).
+LEMMAS = [
+    ("paper.s13.r10-equiv-r11p",
+     "with the Boolean axioms, converse involution, and left "
+     "distributivity, R10 and R11p agree on every model",
+     ("R1", "R2", "R3", "R6", "R8p"), ("R10", "R11p"), True),
+    ("paper.s13.r8-equiv-r8p",
+     "with R6, R7, R9, the two distributive laws agree on every model",
+     ("R6", "R7", "R9"), ("R8", "R8p"), True),
+    ("paper.s13.implies-r7", "R1-R5 with R11p force R7 on every model",
+     ("R1", "R2", "R3", "R4", "R5", "R11p"), ("R7",), False),
+    ("paper.s15.implies-r9", "R1-R3, R5, R8 with R11p force R9 on every model",
+     ("R1", "R2", "R3", "R5", "R8", "R11p"), ("R9",), False),
+    ("paper.s13.rsys-implies-r7-r8",
+     "every model of the reduced system also satisfies R7 and R8",
+     R_SYS, ("R7", "R8"), False),
+    ("paper.s15.ssys-implies-r7-r9",
+     "every model of the distributivity-based system also satisfies "
+     "R7 and R9", S_SYS, ("R7", "R9"), False),
+]
+
 
 def _lemma(verdict, population, hypotheses, conclusions, agree=False):
     """On every model satisfying all hypotheses, every conclusion must hold,
@@ -389,52 +411,38 @@ def run_verification_suite(include_long_running: bool = False,
     # (h) uniqueness, plus the size-4 positive search for R7
     population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
 
-    def r2_uniqueness():
-        res = _independence_search(3, TARSKI, "R2")
-        population.extend((f"search.r2-size3.{i}", m)
-                          for i, m in enumerate(res.models))
-        ev = _search_result_evidence(res)
-        ev["isomorphic_to_a2"] = bool(
-            res.models and find_isomorphism(res.models[0], models["a2"]))
-        ok = (res.exhaustive and res.iso_class_count == 1
-              and ev["isomorphic_to_a2"])
-        return ok, ev
-    run("paper.s6.r2-uniqueness-size3",
-        "exactly one size-3 independence model for R2, isomorphic to a2",
-        "uniqueness", r2_uniqueness)
-
-    def r7_size4():
-        res = _independence_search(4, TARSKI, "R7")
-        population.extend((f"search.r7-size4.{i}", m)
-                          for i, m in enumerate(res.models))
-        ev = _search_result_evidence(res)
-        ev["some_model_isomorphic_to_a7"] = any(
-            find_isomorphism(m, models["a7"]) for m in res.models)
-        ok = (res.exhaustive and res.iso_class_count >= 1
-              and ev["some_model_isomorphic_to_a7"])
-        return ok, ev
-    run("paper.s9.r7-size4-search",
-        "size-4 search finds an independence model for R7 isomorphic to a7",
-        "uniqueness", r7_size4)
-
-    def r9_uniqueness(system, certificate):
+    def at_size(size, system, target, certificate, exactly_one, node_limit=None):
+        """The claim that ``size`` has exactly one (else at least one) class
+        of independence models of ``target`` within ``system``, and one
+        isomorphic to ``certificate``; None when the node budget cuts the
+        search.  The models of a finished search join the lemma population."""
         def fn():
-            res = _independence_search(8, system, "R9", long_node_limit)
+            res = _independence_search(size, system, target, node_limit)
             ev = _search_result_evidence(res)
             if not res.exhaustive:
                 ev["resource_abort"] = True
                 return None, ev
-            ev["matches_certificate"] = bool(
-                res.models and find_isomorphism(res.models[0], models[certificate]))
-            return res.iso_class_count == 1 and ev["matches_certificate"], ev
+            population.extend((f"search.{certificate}-size{size}.{i}", m)
+                              for i, m in enumerate(res.models))
+            ev["matches_certificate"] = any(
+                find_isomorphism(m, models[certificate]) for m in res.models)
+            ok = res.iso_class_count == 1 if exactly_one else res.iso_class_count >= 1
+            return ok and ev["matches_certificate"], ev
         return fn
+
+    run("paper.s6.r2-uniqueness-size3",
+        "exactly one size-3 independence model for R2, isomorphic to a2",
+        "uniqueness", at_size(3, TARSKI, "R2", "a2", True))
+    run("paper.s9.r7-size4-search",
+        "size-4 search finds an independence model for R7 isomorphic to a7",
+        "uniqueness", at_size(4, TARSKI, "R7", "a7", False))
     long_jobs = [
         ("paper.s11.r9-uniqueness-size8",
          "exactly one size-8 independence model for R9 (full system)",
-         r9_uniqueness(TARSKI, "a9")),
+         at_size(8, TARSKI, "R9", "a9", True, long_node_limit)),
         ("paper.s14.r9-uniqueness-size8-rsys",
          "exactly one size-8 independence model for R9 (reduced system)",
-         r9_uniqueness(R_SYS, "b9")),
+         at_size(8, R_SYS, "R9", "b9", True, long_node_limit)),
     ]
     for cid, desc, fn in long_jobs:
         if include_long_running:
@@ -443,33 +451,10 @@ def run_verification_suite(include_long_running: bool = False,
             skip(cid, desc, "uniqueness")
 
     # (f) semantic lemma checks over the catalog plus all searched models
-    run("paper.s13.r10-equiv-r11p",
-        "with the Boolean axioms, converse involution, and left "
-        "distributivity, R10 and R11p agree on every model",
-        "lemma-semantic",
-        lambda: _lemma(verdict, population, ("R1", "R2", "R3", "R6", "R8p"),
-                       ("R10", "R11p"), agree=True))
-    run("paper.s13.r8-equiv-r8p",
-        "with R6, R7, R9, the two distributive laws agree on every model",
-        "lemma-semantic",
-        lambda: _lemma(verdict, population, ("R6", "R7", "R9"),
-                       ("R8", "R8p"), agree=True))
-    run("paper.s13.implies-r7",
-        "R1-R5 with R11p force R7 on every model", "lemma-semantic",
-        lambda: _lemma(verdict, population,
-                       ("R1", "R2", "R3", "R4", "R5", "R11p"), ("R7",)))
-    run("paper.s15.implies-r9",
-        "R1-R3, R5, R8 with R11p force R9 on every model", "lemma-semantic",
-        lambda: _lemma(verdict, population,
-                       ("R1", "R2", "R3", "R5", "R8", "R11p"), ("R9",)))
-    run("paper.s13.rsys-implies-r7-r8",
-        "every model of the reduced system also satisfies R7 and R8",
-        "lemma-semantic",
-        lambda: _lemma(verdict, population, R_SYS, ("R7", "R8")))
-    run("paper.s15.ssys-implies-r7-r9",
-        "every model of the distributivity-based system also satisfies "
-        "R7 and R9", "lemma-semantic",
-        lambda: _lemma(verdict, population, S_SYS, ("R7", "R9")))
+    for cid, desc, hypotheses, conclusions, agree in LEMMAS:
+        run(cid, desc, "lemma-semantic",
+            lambda h=hypotheses, c=conclusions, agree=agree:
+                _lemma(verdict, population, h, c, agree))
 
     claims.sort(key=lambda c: c.claim_id)
     return Report(__version__, claims)

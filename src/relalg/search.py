@@ -1,8 +1,9 @@
 """Exhaustive search for finite algebras constrained by sentences.
 
-The engine enumerates operation tables cell by cell (decision order:
-identity constant, complement, converse, addition row-major, relative
-multiplication row-major) and prunes with ground-instance propagation.
+The engine enumerates operation tables cell by cell, deciding every cell
+that is neither preset nor derived in layout order (identity constant,
+complement, converse, addition row-major, relative multiplication
+row-major), and prunes with ground-instance propagation.
 Each sentence in ``must_hold`` is compiled once per search into a
 straight-line function over the flat cell array (``_compile``); cells
 preset before the search, such as the guided search's Boolean part, are
@@ -210,13 +211,19 @@ class _Engine:
         self.instances: list[_Instance] = []
         self.rechecks = 0
         self.conflicts: dict[Callable, int] = {}  # checker -> failed steps
-        # derived cells: target -> (dep cells, all at once, value = OR of deps)
+        # derived_by_dep[d]: the (target, deps) with d in deps; target = OR of deps
         self.derived_by_dep: dict[int, list] = {}
 
     def add_derived(self, target, deps):
         spec = (target, tuple(deps))
         for d in deps:
             self.derived_by_dep.setdefault(d, []).append(spec)
+
+    def decision_cells(self):
+        """Every cell neither preset nor derived, in layout order."""
+        derived = {t for specs in self.derived_by_dep.values() for t, _ in specs}
+        return [c for c in range(self.total)
+                if self.cells[c] is None and c not in derived]
 
     def prime(self):
         """Compile every must-hold sentence, folding the regions decided
@@ -417,11 +424,7 @@ def search(spec: SearchSpec) -> SearchResult:
     leaves are deduplicated by canonical form."""
     n = spec.size
     eng = _Engine(n, spec.must_hold, spec.propagate)
-    variables = [eng.ident_cell]
-    variables += [eng.neg0 + i for i in range(n)]
-    variables += [eng.conv0 + i for i in range(n)]
-    variables += [eng.add0 + i for i in range(n * n)]
-    variables += [eng.comp0 + i for i in range(n * n)]
+    variables = eng.decision_cells()
     if not spec.up_to_iso:
         return _run(spec, eng, variables, range(n))
     swaps = []
@@ -464,12 +467,13 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     of that size up to isomorphism) and only comp, conv, and ident are
     enumerated.  Without ``up_to_iso``, ``models`` holds only the labelings
     with that bitmask Boolean part, while ``labeled_count`` counts every
-    labeling by orbit sums.  With R8 (R8p) held, comp rows (columns) at
-    non-atomic arguments are derived by additivity; with R9 held, converse
-    at non-atomic arguments is derived the same way.  With ``up_to_iso``
-    the identity ranges over one mask per atom count, and the atom
-    permutations that fix it break the remaining symmetry (one that moves
-    it maps it higher and drops out at the identity cell).
+    labeling by orbit sums.  One additive rule derives cells: the cell at a
+    composite x is the OR of the cells at the atoms of x, in each column of
+    comp with R8 held, else in each row with R8p, and in conv with R9.  The
+    other cells of ident, conv and comp are decided in layout order.  With
+    ``up_to_iso`` the identity ranges over one mask per atom count, and
+    the atom permutations that fix it break the remaining symmetry (one
+    that moves it maps it higher and drops out at the identity cell).
     """
     for rid in ("R1", "R2", "R3"):
         if axiom_sentence(rid) not in spec.must_hold:
@@ -484,36 +488,25 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
         for j in range(n):
             eng.cells[eng.add0 + i * n + j] = i | j
     atoms = [1 << b for b in range((n - 1).bit_length())]
-    composites = [x for x in range(n) if x not in atoms and x != 0]
 
-    gen_rows = axiom_sentence("R8") in spec.must_hold
-    gen_cols = not gen_rows and axiom_sentence("R8p") in spec.must_hold
-    gen_conv = axiom_sentence("R9") in spec.must_hold
+    def additive(base, step):
+        # the cell base + x * step at each composite x is the OR of the
+        # cells at the atoms of x
+        for x in range(n):
+            if x & (x - 1):
+                eng.add_derived(base + x * step,
+                                [base + p * step for p in atoms if x & p])
 
-    comp_free = list(range(n * n))
-    if gen_rows:
-        comp_free = [i * n + j for i in [0] + atoms for j in range(n)]
-        for x in composites:
-            for j in range(n):
-                deps = [eng.comp0 + p * n + j for p in atoms if x & p]
-                eng.add_derived(eng.comp0 + x * n + j, deps)
-    elif gen_cols:
-        comp_free = [i * n + j for i in range(n) for j in [0] + atoms]
-        for y in composites:
-            for i in range(n):
-                deps = [eng.comp0 + i * n + q for q in atoms if y & q]
-                eng.add_derived(eng.comp0 + i * n + y, deps)
+    if axiom_sentence("R8") in spec.must_hold:
+        for j in range(n):  # the rows of each column
+            additive(eng.comp0 + j, n)
+    elif axiom_sentence("R8p") in spec.must_hold:
+        for i in range(n):  # the columns of each row
+            additive(eng.comp0 + i * n, 1)
+    if axiom_sentence("R9") in spec.must_hold:
+        additive(eng.conv0, 1)
 
-    conv_free = list(range(n))
-    if gen_conv:
-        conv_free = [0] + atoms
-        for x in composites:
-            deps = [eng.conv0 + p for p in atoms if x & p]
-            eng.add_derived(eng.conv0 + x, deps)
-
-    variables = [eng.ident_cell]
-    variables += [eng.conv0 + i for i in conv_free]
-    variables += [eng.comp0 + c for c in comp_free]
+    variables = eng.decision_cells()
     if not spec.up_to_iso:
         return _run(spec, eng, variables, range(n))
     return _run(spec, eng, variables, _popcount_reps(n),

@@ -5,8 +5,8 @@ import pytest
 from relalg import golden
 from relalg.algebra import AlgebraError, derived_element
 from relalg.axioms import TARSKI, is_independence_model, satisfies
-from relalg.catalog import (GroupSpec, PartialGroupoidSpec, a1, a2, a3, a4,
-                            a5, a6, a7, a8, a9, a10, b5, b9, b10,
+from relalg.catalog import (MAX_ATOMS, GroupSpec, PartialGroupoidSpec, a1,
+                            a2, a3, a4, a5, a6, a7, a8, a9, a10, b5, b9, b10,
                             boolean_group, boolean_ra, build_model,
                             complex_of_partial_groupoid, cyclic_group,
                             group_complex, is_symmetric_integral, list_models,
@@ -213,6 +213,23 @@ class TestParameterization:
     def test_a1_rejects_trivial_group(self):
         with pytest.raises(AlgebraError):
             a1(0)
+
+    @pytest.mark.parametrize("model_id", [
+        "bra[k=9]", "bra[k=40]", "a1[k=40]", "a3[k=40]", "a5[k=40]",
+        "a7[k=40]", "a10[k=40]"])
+    def test_atom_count_is_capped(self, model_id):
+        # 2**k elements, each table 4**k entries: refused before it is built
+        with pytest.raises(AlgebraError, match=f"at most {MAX_ATOMS} "):
+            build_model(model_id)
+
+    def test_largest_atom_count_builds(self):
+        assert build_model(f"bra[k={MAX_ATOMS}]").size == 256
+        assert boolean_group(MAX_ATOMS).size == 256
+
+    def test_group_complex_is_capped(self):
+        # one atom per group element
+        with pytest.raises(AlgebraError, match=f"at most {MAX_ATOMS} "):
+            group_complex(cyclic_group(MAX_ATOMS + 1))
 
     def test_a8_changes_exactly_one_cell(self):
         base = m3()

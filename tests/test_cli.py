@@ -3,7 +3,7 @@ import json
 import pytest
 
 from relalg.algebra import from_json, to_json
-from relalg.catalog import m3
+from relalg.catalog import boolean_ra, m3
 from relalg.cli import _parse_axiom_list, main
 
 
@@ -173,6 +173,27 @@ class TestCommands:
         path.write_text(to_json(m3()))
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("add", 5), ("size", "2"), (None, [1, 2])])
+    def test_malformed_model_file(self, tmp_path, capsys, field, value):
+        # a model file of the wrong shape is a usage error, not a failed check
+        doc = json.loads(to_json(boolean_ra(1)))
+        if field is None:
+            doc = value
+        else:
+            doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert (f"'{field}'" if field else "JSON object") in err
+
+    def test_too_many_atoms(self, capsys):
+        code, out, err = run(capsys, "show", "bra[k=40]")
+        assert code == 2
+        assert out == "" and "at most 8 atoms" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as e:

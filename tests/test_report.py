@@ -4,12 +4,13 @@ import sys
 import pytest
 
 from relalg import cli
-from relalg.algebra import from_json, make_algebra, to_json
-from relalg.axioms import SYSTEMS, failing_axioms, status_vector
+from relalg.algebra import automorphism_count, from_json, make_algebra, to_json
+from relalg.axioms import R_SYS, SYSTEMS, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
                            Report, _golden_claims, _lemma, render_model,
                            run_verification_suite)
+from relalg.search import SearchResult
 
 
 class TestRenderModel:
@@ -127,6 +128,40 @@ class TestBudgetAborts:
         assert f"[INCONCLUSIVE] {LONG_CLAIMS[0]}" in out
         assert cli.main(["verify-paper", "--long", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
+
+
+class TestAtSizeClaims:
+    def test_any_model_may_match_the_certificate(self, budget_cut_report,
+                                                 monkeypatch):
+        # made-up finished size-8 searches: the full system finds a9 alone,
+        # the reduced one two classes with b9 second
+        suite = sys.modules["relalg.report"]
+        search = suite._independence_search
+
+        def finished(size, system, target, node_limit=None):
+            if size != 8:
+                return search(size, system, target, node_limit)
+            ids = ["d", "b9"] if system is R_SYS else ["a9"]
+            models = [build_model(mid) for mid in ids]
+            labeled = sum(40320 // automorphism_count(m) for m in models)
+            return SearchResult(models, labeled, len(models), True, 1)
+        monkeypatch.setattr(suite, "_independence_search", finished)
+        report = run_verification_suite(include_long_running=True)
+        by_id = {c.claim_id: c for c in report.claims}
+        tarski, rsys = (by_id[cid] for cid in LONG_CLAIMS)
+        assert tarski.status == "pass"
+        assert tarski.evidence["matches_certificate"] is True
+        # not exactly one class, though one of them is the certificate's
+        assert rsys.status == "fail"
+        assert rsys.evidence["iso_class_count"] == 2
+        assert rsys.evidence["matches_certificate"] is True
+        # the three models of the finished searches join the lemma
+        # population; those of the searches the budget cut do not
+        lemma = "paper.s13.implies-r7"
+        cut = {c.claim_id: c for c in budget_cut_report.claims}[lemma]
+        assert by_id[lemma].status == "pass"
+        assert by_id[lemma].evidence["population"] == \
+            cut.evidence["population"] + 3
 
 
 class TestSuiteSmoke:

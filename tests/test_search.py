@@ -358,16 +358,39 @@ SYMMETRY_ORACLE_SPECS = {
 }
 
 
-def _symmetries(runner, spec, monkeypatch):
-    """The identity domain and the symmetries ``runner`` passes to the
-    engine for ``spec``."""
+def _run_args(runner, spec, monkeypatch):
+    """The variables in decision order, the identity domain and the
+    symmetries ``runner`` passes to the engine for ``spec``, a search up to
+    isomorphism."""
     engine = sys.modules["relalg.search"]
     passed, run = [], engine._run
-    monkeypatch.setattr(engine, "_run", lambda spec, eng, variables, *rest:
-                        passed.append(rest) or run(spec, eng, variables, *rest))
+    monkeypatch.setattr(engine, "_run", lambda spec, eng, *rest:
+                        passed.append(rest) or run(spec, eng, *rest))
     runner(replace(spec, node_limit=1))
-    ((ident_domain, symmetries),) = passed
-    return list(ident_domain), symmetries
+    ((variables, ident_domain, symmetries),) = passed
+    return variables, list(ident_domain), symmetries
+
+
+class TestDecisionOrder:
+    # the cell layout: at size 3 ident 0, neg 1-3, conv 4-6, add 7-15 and
+    # comp 16-24; at size 4 ident 0, neg 1-4, conv 5-8, add 9-24 and comp
+    # 25-40, where the guided search presets neg and add
+    @pytest.mark.parametrize("runner, size, held, order", [
+        # every cell, in layout order
+        (search, 3, (), list(range(25))),
+        (boolean_guided_search, 4, (), [0, 5, 6, 7, 8, *range(25, 41)]),
+        # R8 derives comp row 3 (= 1 + 2) from rows 1 and 2
+        (boolean_guided_search, 4, ("R8",), [0, 5, 6, 7, 8, *range(25, 37)]),
+        # R8p derives comp column 3 of each row from columns 1 and 2
+        (boolean_guided_search, 4, ("R8p",),
+         [0, 5, 6, 7, 8, 25, 26, 27, 29, 30, 31, 33, 34, 35, 37, 38, 39]),
+        # R9 derives the converse of 3 from those of 1 and 2
+        (boolean_guided_search, 4, ("R9",), [0, 5, 6, 7, *range(25, 41)]),
+    ])
+    def test_decision_order(self, runner, size, held, order, monkeypatch):
+        boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
+        spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
+        assert _run_args(runner, spec, monkeypatch)[0] == order
 
 
 class TestSymmetryBreaking:
@@ -398,8 +421,8 @@ class TestSymmetryBreaking:
         # identity mask act below it, and the others map it higher, so they
         # drop out at the identity cell without cutting
         spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        ident_domain, symmetries = _symmetries(boolean_guided_search, spec,
-                                               monkeypatch)
+        _, ident_domain, symmetries = _run_args(boolean_guided_search, spec,
+                                                monkeypatch)
         assert ident_domain == _popcount_reps(n)
         top = n - 1
         k = top.bit_length()
@@ -418,7 +441,7 @@ class TestSymmetryBreaking:
     def test_generic_symmetries(self, n, monkeypatch):
         # the adjacent transpositions of the elements other than 0, the
         # pinned identity; at size 3 the one swap is the whole group
-        ident_domain, symmetries = _symmetries(search, SearchSpec(
+        _, ident_domain, symmetries = _run_args(search, SearchSpec(
             n, (), up_to_iso=True), monkeypatch)
         assert ident_domain == [0]
         want = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
@@ -433,7 +456,7 @@ class TestSymmetryBreaking:
         # cell it is read from
         a = build_model(model_id)
         spec = SearchSpec(a.size, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        _, symmetries = _symmetries(runner, spec, monkeypatch)
+        _, _, symmetries = _run_args(runner, spec, monkeypatch)
         assert symmetries
         cells = _cells(a)
         for src, vmap in symmetries:
