@@ -20,7 +20,7 @@ from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
 from .report import _search_result_evidence, render_model, run_verification_suite
 from .search import SearchSpec, boolean_guided_search, search
-from .terms import EvalError, ParseError, check_validity, eval_term, parse_term
+from .terms import EvalError, ParseError, eval_term, parse_term
 
 
 def _color_enabled() -> bool:

@@ -22,12 +22,14 @@ in a step that runs its watchers, so at a leaf every instance's last
 evaluation returned True and a propagating search checks nothing there.
 ``must_fail`` sentences are only tested on complete tables.
 
-Up to isomorphism both searches also break symmetry by lex-leader
-constraints (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes
-relabelings that keep its preset part, and a branch is cut as soon as its
-decided cells, read in decision order, are larger than their image under
-one of them.  The lex-least labeling of every isomorphism class survives,
-so the counts, which come from canonical forms, do not change.
+Up to isomorphism both searches break symmetry by lex-leader constraints
+alone (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes relabelings
+that keep its preset part, and a branch is cut as soon as its decided
+cells, read in decision order, are larger than their image under one of
+them.  The identity is decided like every other cell, so the comparison
+at its cell keeps only the least identity of each orbit.  The lex-least
+labeling of every isomorphism class survives, so the counts, which come
+from canonical forms, do not change.
 
 ``naive_enumerate`` is an independent brute-force oracle used to
 cross-check the backtracking engine at tiny sizes.
@@ -324,10 +326,10 @@ class _Engine:
         return make_algebra(n, add, neg, comp, conv, cells[self.ident_cell])
 
 
-def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain,
-         symmetries=()) -> SearchResult:
-    """DFS over ``variables`` (list of cell ids); collect complete tables
-    that satisfy must_hold and falsify every must_fail sentence.
+def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
+    """DFS over the engine's decision cells, each over every element;
+    collect complete tables that satisfy must_hold and falsify every
+    must_fail sentence.
 
     Both counts come from the leaves' canonical forms: iso_class_count is
     the number of distinct forms and labeled_count the orbit sum n!/|Aut|
@@ -335,14 +337,17 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain,
     part of the tables (a run cut short by its node budget counts the
     classes it reached).
 
-    ``symmetries`` (pairs from ``_relabeling``) must each carry the preset
-    and derived cells into themselves, and ``ident_domain`` must hold the
-    least identity of each of their orbits.  A branch is cut at the first
-    decided position where a variable is larger than its image; so the
-    lex-least labeling of every class, which is never larger than an image,
-    is kept.  A labeled run passes none, since it must reach every
-    labeling."""
+    With ``up_to_iso``, ``symmetries`` (pairs from ``_relabeling``) must
+    each carry the preset and derived cells into themselves.  A branch is
+    cut at the first decided position where a variable is larger than its
+    image; so the lex-least labeling of every class, which is never larger
+    than an image, is kept, and at the identity cell, decided first, only
+    the least identity of each orbit survives.  A labeled run drops them,
+    since it must reach every labeling."""
     n = spec.size
+    variables = eng.decision_cells()
+    if not spec.up_to_iso:
+        symmetries = ()
     models: list[FiniteAlgebra] = []
     seen_forms: dict[bytes, FiniteAlgebra] = {}
     nodes = cuts = 0
@@ -395,8 +400,7 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain,
             accept()
             return
         cell = variables[depth]
-        domain = ident_domain if cell == eng.ident_cell else range(n)
-        for value in domain:
+        for value in range(n):
             trail: list[int] = []
             if eng.set_cell(cell, value, trail):
                 below = lex_leader(depth, tied)
@@ -418,33 +422,18 @@ def _run(spec: SearchSpec, eng: _Engine, variables, ident_domain,
 
 
 def search(spec: SearchSpec) -> SearchResult:
-    """Generic cell-by-cell search.  With ``up_to_iso`` the identity is
-    pinned to element 0 (every algebra has such an isomorph), the adjacent
-    transpositions of the other elements break the remaining symmetry, and
-    leaves are deduplicated by canonical form."""
+    """Generic cell-by-cell search; the identity is decided like every
+    other cell.  With ``up_to_iso`` the adjacent transpositions of all the
+    elements break symmetry, so lex-leader keeps identity 0 alone (the swap
+    of v - 1 and v cuts an identity v > 0), and leaves are deduplicated by
+    canonical form."""
     n = spec.size
-    eng = _Engine(n, spec.must_hold, spec.propagate)
-    variables = eng.decision_cells()
-    if not spec.up_to_iso:
-        return _run(spec, eng, variables, range(n))
     swaps = []
-    for i in range(1, n - 1):
+    for i in range(n - 1):
         perm = list(range(n))
         perm[i], perm[i + 1] = i + 1, i
         swaps.append(_relabeling(n, perm))
-    return _run(spec, eng, variables, [0], swaps)
-
-
-def _popcount_reps(n):
-    """One identity candidate per atom-count: masks 0, 1, 3, 7, ...  Any
-    other mask is carried to one of these by an atom permutation, which is
-    a Boolean-part automorphism, and each is the least mask of its orbit."""
-    reps = [0]
-    mask = 0
-    while mask != n - 1:
-        mask = mask << 1 | 1
-        reps.append(mask)
-    return reps
+    return _run(spec, _Engine(n, spec.must_hold, spec.propagate), swaps)
 
 
 def _atom_permutations(n):
@@ -470,10 +459,10 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     labeling by orbit sums.  One additive rule derives cells: the cell at a
     composite x is the OR of the cells at the atoms of x, in each column of
     comp with R8 held, else in each row with R8p, and in conv with R9.  The
-    other cells of ident, conv and comp are decided in layout order.  With
-    ``up_to_iso`` the identity ranges over one mask per atom count, and
-    the atom permutations that fix it break the remaining symmetry (one
-    that moves it maps it higher and drops out at the identity cell).
+    other cells of ident, conv and comp are decided in layout order, the
+    identity like every other cell.  With ``up_to_iso`` the atom
+    permutations break symmetry, and lex-leader keeps the least identity of
+    each orbit: the least mask of each atom count (0, 1, 3, 7, ...).
     """
     for rid in ("R1", "R2", "R3"):
         if axiom_sentence(rid) not in spec.must_hold:
@@ -506,11 +495,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     if axiom_sentence("R9") in spec.must_hold:
         additive(eng.conv0, 1)
 
-    variables = eng.decision_cells()
-    if not spec.up_to_iso:
-        return _run(spec, eng, variables, range(n))
-    return _run(spec, eng, variables, _popcount_reps(n),
-                [_relabeling(n, perm) for perm in _atom_permutations(n)])
+    return _run(spec, eng, [_relabeling(n, p) for p in _atom_permutations(n)])
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:

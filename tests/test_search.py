@@ -10,8 +10,8 @@ from relalg.algebra import (automorphism_count, canonical_form,
 from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.search import (SearchSpec, _compile, _Instance, _layout,
-                           _popcount_reps, boolean_guided_search,
-                           naive_enumerate, search, verify_minimality)
+                           boolean_guided_search, naive_enumerate, search,
+                           verify_minimality)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -121,21 +121,22 @@ def _search8_spec():
 # symmetry cuts), as this engine counts them: a step rechecks each instance
 # at most once and stops at its first violated instance, that instance is
 # rechecked first the next time its cell is set, and a successful step is
-# followed by the lex-leader cut
+# followed by the lex-leader cut, which also cuts at the identity cell every
+# identity that passes the step and is not the least of its orbit
 PINNED_COUNTS = {
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                955, 71983, 6540, 62),
+                                955, 72015, 6540, 66),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 2681, 28863, 5342, 16),
+        up_to_iso=True), 2681, 28869, 5342, 18),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 733, 15547, 2157, 22),
+        up_to_iso=True), 733, 15551, 2157, 23),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1195, 32056, 3540, 45),
+        _axioms(("R4",)), up_to_iso=True), 1195, 32062, 3540, 46),
 }
 
 
@@ -359,16 +360,45 @@ SYMMETRY_ORACLE_SPECS = {
 
 
 def _run_args(runner, spec, monkeypatch):
-    """The variables in decision order, the identity domain and the
-    symmetries ``runner`` passes to the engine for ``spec``, a search up to
-    isomorphism."""
+    """The engine's decision cells in order and the symmetries ``runner``
+    passes to it for ``spec``, a search up to isomorphism."""
     engine = sys.modules["relalg.search"]
     passed, run = [], engine._run
-    monkeypatch.setattr(engine, "_run", lambda spec, eng, *rest:
-                        passed.append(rest) or run(spec, eng, *rest))
+    monkeypatch.setattr(engine, "_run", lambda spec, eng, symmetries:
+                        passed.append((eng.decision_cells(), symmetries))
+                        or run(spec, eng, symmetries))
     runner(replace(spec, node_limit=1))
-    ((variables, ident_domain, symmetries),) = passed
-    return variables, list(ident_domain), symmetries
+    (args,) = passed
+    return args
+
+
+def _least_identities(runner, n):
+    """The least identity of each orbit of the relabelings ``runner`` keeps:
+    element 0 under every permutation, and the least mask of each atom
+    count (0, 1, 3, 7, ...) under the atom permutations."""
+    if runner is search:
+        return [0]
+    return [(1 << k) - 1 for k in range(n.bit_length())]
+
+
+def _root_survivors(runner, spec, monkeypatch):
+    """The identities that pass the lex-leader comparison at the identity
+    cell, the first decision, and how many it cut.  Every step below the
+    root is failed, so each surviving identity costs one node."""
+    engine = sys.modules["relalg.search"]
+    set_cell, survivors = engine._Engine.set_cell, []
+
+    def spy(eng, cell, value, trail):
+        if cell == eng.ident_cell:
+            return set_cell(eng, cell, value, trail)
+        if eng.cells[eng.ident_cell] not in survivors:
+            survivors.append(eng.cells[eng.ident_cell])
+        return False
+    with monkeypatch.context() as m:
+        m.setattr(engine._Engine, "set_cell", spy)
+        res = runner(spec)
+    assert res.exhaustive
+    return survivors, res.symmetry_cuts
 
 
 class TestDecisionOrder:
@@ -413,17 +443,20 @@ class TestSymmetryBreaking:
         group = math.factorial(n if runner is search else (n - 1).bit_length())
         assert len(labeled.models) == sum(group // automorphism_count(m)
                                           for m in iso.models)
+        # the lex-leader comparison at the identity cell keeps only the
+        # least identity of each orbit
+        least = _least_identities(runner, n)
+        assert all(m.ident in least for m in iso.models)
 
     @pytest.mark.parametrize("n, fixing", [(1, [0]), (2, [0, 0]),
                                            (4, [1, 0, 1]), (8, [5, 1, 1, 5])])
     def test_guided_symmetries(self, n, fixing, monkeypatch):
-        # every Boolean automorphism but the identity map; those fixing an
-        # identity mask act below it, and the others map it higher, so they
+        # every Boolean automorphism but the identity map; those fixing a
+        # least identity act below it, and the others map it higher, so they
         # drop out at the identity cell without cutting
         spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        _, ident_domain, symmetries = _run_args(boolean_guided_search, spec,
-                                                monkeypatch)
-        assert ident_domain == _popcount_reps(n)
+        _, symmetries = _run_args(boolean_guided_search, spec, monkeypatch)
+        least = _least_identities(boolean_guided_search, n)
         top = n - 1
         k = top.bit_length()
         assert len(symmetries) == math.factorial(k) - 1
@@ -433,20 +466,36 @@ class TestSymmetryBreaking:
             for x, y in product(range(n), repeat=2):
                 assert vmap[x | y] == vmap[x] | vmap[y]
                 assert vmap[x ^ top] == vmap[x] ^ top
-            assert all(vmap[rep] >= rep for rep in ident_domain)
+            assert all(vmap[rep] >= rep for rep in least)
         assert [sum(vmap[rep] == rep for _, vmap in symmetries)
-                for rep in ident_domain] == fixing
+                for rep in least] == fixing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_generic_symmetries(self, n, monkeypatch):
-        # the adjacent transpositions of the elements other than 0, the
-        # pinned identity; at size 3 the one swap is the whole group
-        _, ident_domain, symmetries = _run_args(search, SearchSpec(
-            n, (), up_to_iso=True), monkeypatch)
-        assert ident_domain == [0]
+        # the adjacent transpositions of all the elements: the swap of v - 1
+        # and v maps an identity v > 0 lower, and only the swap of 0 and 1
+        # moves identity 0
+        _, symmetries = _run_args(search, SearchSpec(n, (), up_to_iso=True),
+                                  monkeypatch)
         want = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-                for i in range(1, n - 1)]
+                for i in range(n - 1)]
         assert [vmap for _, vmap in symmetries] == want
+
+    @pytest.mark.parametrize("runner, n, least", [
+        (boolean_guided_search, 1, [0]), (boolean_guided_search, 2, [0, 1]),
+        (boolean_guided_search, 4, [0, 1, 3]),
+        (boolean_guided_search, 8, [0, 1, 3, 7]),
+        (search, 1, [0]), (search, 2, [0]), (search, 3, [0])])
+    def test_identity_survives_when_least_in_its_orbit(self, runner, n, least,
+                                                       monkeypatch):
+        # R1-R3 read no identity cell, so every identity passes its step and
+        # the root comparison alone decides which go on
+        assert _least_identities(runner, n) == least
+        spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
+        assert _root_survivors(runner, spec, monkeypatch) == (least, n - len(least))
+        # a labeled run keeps every identity
+        assert _root_survivors(runner, replace(spec, up_to_iso=False),
+                               monkeypatch) == (list(range(n)), 0)
 
     @pytest.mark.parametrize("runner, model_id", [
         (search, "a2"), (boolean_guided_search, "a9")])
@@ -456,7 +505,7 @@ class TestSymmetryBreaking:
         # cell it is read from
         a = build_model(model_id)
         spec = SearchSpec(a.size, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        _, _, symmetries = _run_args(runner, spec, monkeypatch)
+        _, symmetries = _run_args(runner, spec, monkeypatch)
         assert symmetries
         cells = _cells(a)
         for src, vmap in symmetries:
