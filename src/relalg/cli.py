@@ -166,6 +166,7 @@ def cmd_search(args) -> int:
             **_search_result_evidence(res),
             "conflicts": conflicts,
             "symmetry_cuts": res.symmetry_cuts,
+            "refuted": res.refuted,
             "models": [json.loads(to_json(m)) for m in res.models],
         }
         print(json.dumps(doc, indent=1))
@@ -178,6 +179,7 @@ def cmd_search(args) -> int:
         print("conflicts:      " + (", ".join(
             f"{i} {c}" for i, c in conflicts.items()) or "none"))
         print(f"symmetry cuts:  {res.symmetry_cuts}")
+        print(f"refuted:        {res.refuted}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))
@@ -185,7 +187,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = run_verification_suite(include_long_running=args.long)
+    budget = {}  # the suite's own default unless --limit is given
+    if args.limit is not None:
+        if not args.long:
+            raise ValueError("--limit applies only with --long")
+        if args.limit < 1:
+            raise ValueError("--limit must be at least 1")
+        budget["long_node_limit"] = args.limit
+    report = run_verification_suite(include_long_running=args.long, **budget)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
     else:
@@ -241,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the full claim suite")
     p.add_argument("--long", action="store_true",
                    help="include the long-running uniqueness searches")
+    p.add_argument("--limit", type=int,
+                   help="node limit of each long search (default 50000)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -20,7 +20,14 @@ before a step, so whether it fails depends on the new cells alone: the order
 changes the number of rechecks, never the nodes.  A cell gains a value only
 in a step that runs its watchers, so at a leaf every instance's last
 evaluation returned True and a propagating search checks nothing there.
-``must_fail`` sentences are only tested on complete tables.
+Each ``must_fail`` sentence is compiled the same way but never watched,
+and refuted during the search, as Mace4 treats negated clauses (McCune,
+ANL/MCS-TM-264, 2003).  Every node scans its instances on from where the
+parent's scan stopped, past each that holds, and cuts the branch once all
+of them hold: a checker answers True or False only once every cell it read
+is decided, so every table below would satisfy the sentence.  A violated
+instance is a witness for the whole subtree.  At a leaf every cell is
+decided, so the same scan is the must-fail verdict.
 
 Up to isomorphism both searches break symmetry by lex-leader constraints
 alone (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes relabelings
@@ -79,6 +86,7 @@ class SearchResult:
     # failed propagation steps per must-hold sentence, aligned with must_hold
     conflicts: tuple[int, ...] = ()
     symmetry_cuts: int = 0  # branches cut by the lex-leader constraints
+    refuted: int = 0  # branches cut as a must-fail sentence held on all instances
 
 
 # --- cell layout ------------------------------------------------------------
@@ -200,18 +208,23 @@ class _Instance:
 class _Engine:
     """Backtracking over a fixed variable order with watch-list propagation."""
 
-    def __init__(self, n, must_hold, propagate=True):
+    def __init__(self, n, must_hold, must_fail, propagate=True):
         self.n = n
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
         self.cells: list[int | None] = [None] * self.total
         # watch[c]: instance -> stamp of the subscription that read cell c
         self.watch: list[dict] = [{} for _ in range(self.total)]
+        self.sink: list[dict] = [{}] * self.total  # what must-fail checkers watch
         self.stamp = 0  # counts the propagation steps
         self.propagate = propagate
         self.must_hold = must_hold
+        self.must_fail = must_fail
         self.instances: list[_Instance] = []
+        # per must-fail sentence: its checker and the values of its instances
+        self.refuters: list[tuple[Callable, list]] = []
         self.rechecks = 0
+        self.refuted = 0  # scans that found a must-fail sentence holding
         self.conflicts: dict[Callable, int] = {}  # checker -> failed steps
         # derived_by_dep[d]: the (target, deps) with d in deps; target = OR of deps
         self.derived_by_dep: dict[int, list] = {}
@@ -228,21 +241,25 @@ class _Engine:
                 if self.cells[c] is None and c not in derived]
 
     def prime(self):
-        """Compile every must-hold sentence, folding the regions decided
-        before the search (they never change, so nothing watches them), and
-        evaluate each instance once.  Returns False if something is already
-        violated."""
+        """Compile every must-hold and must-fail sentence, folding the
+        regions decided before the search (they never change, so nothing
+        watches them), and evaluate each must-hold instance once.  Returns
+        False if something is already violated."""
         n, cells = self.n, self.cells
         regions = ((self.ident_cell, 1), (self.neg0, n), (self.conv0, n),
                    (self.add0, n * n), (self.comp0, n * n))
         folded = {base for base, size in regions
                   if None not in cells[base:base + size]}
-        for s in self.must_hold:
+
+        def compiled(s):
             names = sorted(free_vars(s))
-            check = _compile(s, n, names, folded)
+            return (_compile(s, n, names, folded),
+                    list(product(range(n), repeat=len(names))))
+        for s in self.must_hold:
+            check, values = compiled(s)
             self.conflicts[check] = 0
-            self.instances += [_Instance(check, values)
-                               for values in product(range(n), repeat=len(names))]
+            self.instances += [_Instance(check, v) for v in values]
+        self.refuters = [compiled(s) for s in self.must_fail]
         return self.evaluate()
 
     def evaluate(self):
@@ -254,6 +271,33 @@ class _Engine:
             if inst.check(cells, watch, inst, inst.version, *inst.values) is False:
                 return False
         return True
+
+    def refute(self, resume):
+        """Scan each must-fail sentence's instances from its index in
+        ``resume``: past each that holds, up to the first undecided one, or
+        to a violated one, a witness, after which the sentence is skipped
+        (index None).  Returns the new indexes, or None, counted in
+        ``refuted``, when some sentence holds on every instance.  A checker
+        answers only once every cell it read is decided, so its verdict
+        holds in the whole subtree.  It subscribes to ``sink``, one
+        throwaway dict, never to ``watch``, whose rechecks would count a
+        False as a conflict."""
+        cells, sink = self.cells, self.sink
+        out = []
+        for (check, values), i in zip(self.refuters, resume):
+            if i is not None:
+                while i < len(values):
+                    held = check(cells, sink, None, 0, *values[i])
+                    if held is not True:
+                        break
+                    i += 1
+                else:
+                    self.refuted += 1
+                    return None
+                if held is False:
+                    i = None
+            out.append(i)
+        return out
 
     def set_cell(self, cell, value, trail):
         """Assign a cell, fill any now-determined derived cells, and run the
@@ -331,6 +375,13 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     collect complete tables that satisfy must_hold and falsify every
     must_fail sentence.
 
+    Each node carries one resume index per must-fail sentence down the
+    tree: ``eng.refute`` scans on from it and cuts the branch once a
+    sentence holds on every instance, since every table below would
+    satisfy it; at a leaf, where every cell is decided, the same scan is
+    the must-fail verdict.  Without propagation it runs at leaves only,
+    after the must-hold instances are evaluated there.
+
     Both counts come from the leaves' canonical forms: iso_class_count is
     the number of distinct forms and labeled_count the orbit sum n!/|Aut|
     over them, so they count every labeling even when the search fixed
@@ -356,13 +407,12 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     if not eng.prime():
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
-    def accept():
+    def accept(resume):
         if not eng.propagate and not eng.evaluate():
             return
+        if eng.refute(resume) is None:
+            return
         alg = eng.snapshot()
-        for s in spec.must_fail:
-            if check_validity(alg, s) is None:
-                return
         seen_forms.setdefault(canonical_form(alg), alg)
         if not spec.up_to_iso:
             models.append(alg)
@@ -390,15 +440,19 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
 
     limit = spec.node_limit
 
-    def dfs(depth, tied):
+    def dfs(depth, tied, resume):
         nonlocal nodes, cuts, exhausted
         nodes += 1
         if limit is not None and nodes > limit:
             exhausted = False
             return
         if depth == len(variables):
-            accept()
+            accept(resume)
             return
+        if eng.propagate:
+            resume = eng.refute(resume)
+            if resume is None:
+                return
         cell = variables[depth]
         for value in range(n):
             trail: list[int] = []
@@ -407,18 +461,20 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
                 if below is None:
                     cuts += 1
                 else:
-                    dfs(depth + 1, below)
+                    dfs(depth + 1, below, resume)
             eng.undo(trail)
             if not exhausted:
                 return
 
-    dfs(0, [([src[v] for v in variables], vmap, 0) for src, vmap in symmetries])
+    dfs(0, [([src[v] for v in variables], vmap, 0) for src, vmap in symmetries],
+        [0] * len(spec.must_fail))
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
-                        eng.rechecks, tuple(eng.conflicts.values()), cuts)
+                        eng.rechecks, tuple(eng.conflicts.values()), cuts,
+                        eng.refuted)
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -433,7 +489,8 @@ def search(spec: SearchSpec) -> SearchResult:
         perm = list(range(n))
         perm[i], perm[i + 1] = i + 1, i
         swaps.append(_relabeling(n, perm))
-    return _run(spec, _Engine(n, spec.must_hold, spec.propagate), swaps)
+    return _run(spec, _Engine(n, spec.must_hold, spec.must_fail, spec.propagate),
+                swaps)
 
 
 def _atom_permutations(n):
@@ -471,7 +528,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     if n & (n - 1):
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
-    eng = _Engine(n, spec.must_hold, spec.propagate)
+    eng = _Engine(n, spec.must_hold, spec.must_fail, spec.propagate)
     for i in range(n):
         eng.cells[eng.neg0 + i] = i ^ (n - 1)
         for j in range(n):

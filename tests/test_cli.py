@@ -123,6 +123,17 @@ class TestCommands:
             code, out, _ = run(capsys, *argv, *flags)
             assert f"symmetry cuts:  {cuts}\n" in out
 
+    def test_search_refuted(self, capsys):
+        # R1 reads only the preset Boolean part, so it holds at the root
+        argv = ("search", "--size", "4", "--hold", "R1-R3", "--fail", "R1",
+                "--guided")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["nodes_explored"], doc["refuted"]) == (1, 1)
+        code, out, _ = run(capsys, *argv)
+        assert "refuted:        1\n" in out
+
     def test_search_budget_reached_exit_code(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
         assert code == 3
@@ -149,6 +160,29 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["labeled_count"] == 1
         assert doc["models"][0]["size"] == 1
+
+    def test_verify_paper_long_limit(self, capsys):
+        # both size-8 uniqueness searches stop at the given budget
+        code, out, _ = run(capsys, "verify-paper", "--long", "--limit", "100",
+                           "--json")
+        assert code == 3
+        long_claims = [c for c in json.loads(out)["claims"]
+                       if c["id"].startswith(("paper.s11.r9-uniqueness-size8",
+                                              "paper.s14.r9-uniqueness-size8"))]
+        assert len(long_claims) == 2
+        for claim in long_claims:
+            assert claim["status"] == "inconclusive"
+            assert claim["evidence"]["nodes_explored"] == 101
+            assert claim["evidence"]["resource_abort"] is True
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--limit", "100"), "only with --long"),
+        (("--long", "--limit", "0"), "at least 1")])
+    def test_verify_paper_limit_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify-paper", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "show", "nope")

@@ -71,6 +71,7 @@ class TestOracleCrossChecks:
                                 propagate=False))
         assert _forms(on.models) == _forms(off.models)
         assert on.labeled_count == off.labeled_count
+        assert on.iso_class_count == off.iso_class_count
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_iso_class_labeled_sum(self, spec):
@@ -118,25 +119,28 @@ def _search8_spec():
 
 
 # (runner, spec, nodes_explored, rechecks, failed propagation steps,
-# symmetry cuts), as this engine counts them: a step rechecks each instance
-# at most once and stops at its first violated instance, that instance is
-# rechecked first the next time its cell is set, and a successful step is
-# followed by the lex-leader cut, which also cuts at the identity cell every
-# identity that passes the step and is not the least of its orbit
+# symmetry cuts, refuted branches), as this engine counts them: a step
+# rechecks each instance at most once and stops at its first violated
+# instance, that instance is rechecked first the next time its cell is set,
+# and a successful step is followed by the lex-leader cut, which also cuts
+# at the identity cell every identity that passes the step and is not the
+# least of its orbit; each node, leaves included, then scans the must-fail
+# instances and cuts the branch if a must-fail sentence holds on all of them
 PINNED_COUNTS = {
+    # every branch is refuted before a leaf
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                955, 72015, 6540, 66),
+                                37, 671, 224, 4, 4),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 2681, 28869, 5342, 18),
+        up_to_iso=True), 2681, 28869, 5342, 18, 0),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 733, 15551, 2157, 23),
+        up_to_iso=True), 733, 15551, 2157, 23, 3),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1195, 32062, 3540, 46),
+        _axioms(("R4",)), up_to_iso=True), 1195, 32062, 3540, 46, 0),
 }
 
 
@@ -144,7 +148,7 @@ def _run_pinned(name):
     """Run a pinned search with a budget of exactly its pinned nodes, so that
     one that lost its pruning stops there and fails at once instead of
     running on.  Returns the result and the pinned (nodes, rechecks,
-    failed steps, symmetry cuts)."""
+    failed steps, symmetry cuts, refuted branches)."""
     runner, spec, *counts = PINNED_COUNTS[name]
     return runner(replace(spec, node_limit=counts[0])), *counts
 
@@ -184,7 +188,7 @@ class TestCompiledChecker:
         # a failed step has exactly one culprit, counted for its sentence
         assert len(res.conflicts) == len(PINNED_COUNTS[name][1].must_hold)
         assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
-                res.symmetry_cuts] == counts
+                res.symmetry_cuts, res.refuted] == counts
 
     @pytest.mark.parametrize("model_id", list_models())
     def test_agrees_with_holds(self, model_id):
@@ -207,14 +211,26 @@ class TestCompiledChecker:
 
     def test_watch_holds_each_instance_once(self, monkeypatch):
         # a recheck re-subscribes its instance to every cell it read; the
-        # cell must replace the instance's old entry rather than add one
+        # cell must replace the instance's old entry rather than add one.
+        # The must-fail scans, which pass no instance, subscribe nowhere in
+        # the engine's watch, or a recheck would count their False as a
+        # conflict
         engine = sys.modules["relalg.search"]  # relalg.search is the function
         engines, run = [], engine._run
+        refute, scans = engine._Engine.refute, []
         monkeypatch.setattr(engine, "_run", lambda spec, eng, *rest:
                             engines.append(eng) or run(spec, eng, *rest))
+
+        def spy_refute(eng, resume):
+            out = refute(eng, resume)
+            scans.append(resume)
+            assert not any(None in watchers for watchers in eng.watch)
+            return out
+        monkeypatch.setattr(engine._Engine, "refute", spy_refute)
         spec = SearchSpec(8, _axioms(i for i in TARSKI if i != "R9"),
                           _axioms(("R9",)), up_to_iso=True, node_limit=1000)
         assert not boolean_guided_search(spec).exhaustive
+        assert len(scans) > 500
         (eng,) = engines
         for watchers in eng.watch:
             held = list(watchers)
@@ -222,10 +238,12 @@ class TestCompiledChecker:
             assert len({id(inst) for inst in held}) == len(held)
 
     @pytest.mark.parametrize("runner, spec", [
-        # the mixed search prunes every branch before a leaf
+        # the mixed search prunes every branch before a leaf, and search8
+        # refutes every one; without must-fail, search8 reaches 10 classes
         *((runner, replace(spec, node_limit=nodes))
           for name, (runner, spec, nodes, *_) in PINNED_COUNTS.items()
-          if name != "mixed-r4-size4"),
+          if name not in ("mixed-r4-size4", "rsys-r9-symmetric-size8")),
+        (boolean_guided_search, replace(_search8_spec(), must_fail=())),
         *((search, spec) for spec in ORACLE_SPECS),
         *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS)])
     def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
@@ -246,8 +264,9 @@ class TestCompiledChecker:
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_each_step_checks_an_instance_once(self, name, monkeypatch):
-        # after prime() every check is a recheck in set_cell, none of them
-        # repeated within a step, and a leaf checks nothing
+        # after prime() every must-hold check is a recheck in set_cell, none
+        # of them repeated within a step, and a leaf checks no must-hold
+        # instance; the must-fail scans pass no instance and are not counted
         engine = sys.modules["relalg.search"]
         compile_, set_cell = engine._compile, engine._Engine.set_cell
         snapshot = engine._Engine.snapshot
@@ -257,7 +276,8 @@ class TestCompiledChecker:
             check = compile_(*args)
 
             def counted(cells, watch, inst, ver, *values):
-                checked.append(inst)
+                if inst is not None:
+                    checked.append(inst)
                 return check(cells, watch, inst, ver, *values)
             return counted
 
@@ -352,7 +372,7 @@ SYMMETRY_ORACLE_SPECS = {
                    349, 3, 60),
     **{name: (*PINNED_COUNTS[name][:2], nodes, classes, labelings)
        for name, nodes, classes, labelings in (
-           ("rsys-r9-symmetric-size8", 4486, 0, 0),
+           ("rsys-r9-symmetric-size8", 73, 0, 0),
            ("tarski-r2-size3", 25393, 1, 6),
            ("tarski-r7-size4", 1443, 2, 48),
            ("mixed-r4-size4", 2911, 0, 0))},
@@ -521,6 +541,38 @@ class TestMustFailSemantics:
             from relalg.terms import check_validity
             assert check_validity(m, axiom_sentence("R5")) is not None
             assert check_validity(m, axiom_sentence("R6")) is not None
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_refuting_early_matches_refuting_at_leaves(self, name,
+                                                       monkeypatch):
+        # without propagation the scan runs at leaves only, but no pinned
+        # spec finishes without propagation; so the reference here
+        # propagates and holds the scan to leaves, where every cell is
+        # decided, and must keep the same classes on a tree no smaller
+        early, *_ = _run_pinned(name)
+        runner, spec, *_ = PINNED_COUNTS[name]
+        engine = sys.modules["relalg.search"]
+        refute = engine._Engine.refute
+        monkeypatch.setattr(engine._Engine, "refute", lambda eng, resume:
+                            refute(eng, resume) if None not in eng.cells
+                            else resume)
+        late = runner(spec)
+        assert early.exhaustive and late.exhaustive
+        assert _forms(early.models) == _forms(late.models)
+        assert early.iso_class_count == late.iso_class_count
+        assert early.labeled_count == late.labeled_count
+        assert early.nodes_explored <= late.nodes_explored
+
+    @pytest.mark.parametrize("up_to_iso", [True, False])
+    def test_sentence_on_preset_cells_is_refuted_at_the_root(self, up_to_iso):
+        # R1 reads only the Boolean part, which the guided search presets,
+        # so it holds on every instance before the first decision
+        spec = SearchSpec(4, _axioms(("R1", "R2", "R3")), _axioms(("R1",)),
+                          up_to_iso=up_to_iso)
+        res = boolean_guided_search(spec)
+        assert res.exhaustive
+        assert (res.nodes_explored, res.refuted) == (1, 1)
+        assert (res.models, res.labeled_count, res.iso_class_count) == ([], 0, 0)
 
 
 class TestBooleanGuidedSearch:
