@@ -8,8 +8,11 @@ from relalg.algebra import (AlgebraError, atoms, automorphism_count,
                             canonical_form, derived_element, find_isomorphism,
                             from_json, is_completely_distributive, leq,
                             make_algebra, meet, relabel, sup, to_json)
+from relalg.axioms import R_SYS, axiom_sentence
 from relalg.catalog import (a2, a9, b10, boolean_ra, build_model, list_models, m3,
                             z3_complex)
+from relalg.search import SearchSpec, boolean_guided_search
+from relalg.terms import parse_sentence
 
 
 def tiny():
@@ -156,6 +159,29 @@ def _brute_canonical_form(a):
                for b in (relabel(a, p) for p in permutations(range(a.size))))
 
 
+def _least_encoding_fixing_ident(a):
+    """The least (size, ident, neg, conv, add, comp) encoding over the
+    (n-1)! relabelings that send ident to 0."""
+    def encoding(order):
+        p = [0] * a.size
+        for i, x in enumerate(order):
+            p[x] = i
+        return bytes([a.size, 0, *(p[a.neg[x]] for x in order),
+                      *(p[a.conv[x]] for x in order),
+                      *(p[a.add[x][y]] for x in order for y in order),
+                      *(p[a.comp[x][y]] for x in order for y in order)])
+    rest = [x for x in range(a.size) if x != a.ident]
+    return min(encoding((a.ident, *tail)) for tail in permutations(rest))
+
+
+def _size8_leaves():
+    """Three leaves of the symmetric R_SYS - R9 size-8 search, with the
+    labels the search gave them."""
+    must_hold = tuple(axiom_sentence(i) for i in R_SYS if i != "R9")
+    spec = SearchSpec(8, must_hold + (parse_sentence("r^ = r"),), up_to_iso=True)
+    return boolean_guided_search(spec).models[:3]
+
+
 def _random_tables(rng, n):
     """Junk tables: neg and conv need not be involutions nor add Boolean.
     Each table draws its entries from a range of its own; narrow ranges give
@@ -178,10 +204,10 @@ def _shuffled(a, seed):
 
 
 class TestIsomorphismOracle:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_random_tables_match_brute_force(self, n):
         rng = random.Random(f"iso-oracle:{n}")
-        for k in range(20):
+        for k in range(20 if n < 6 else 10):
             a = _random_tables(rng, n)
             others = (_shuffled(a, f"{n}:{k}"), _random_tables(rng, n))
             assert canonical_form(a) == _brute_canonical_form(a)
@@ -189,6 +215,29 @@ class TestIsomorphismOracle:
             for b in others:
                 first = next(iter(_brute_isomorphisms(a, b)), None)
                 assert find_isomorphism(a, b) == first
+
+    def test_size8_canonical_form_is_least_encoding(self):
+        models = [build_model(m) for m in ("bra[k=3]", "d", "a9", "b9")]
+        leaves = _size8_leaves()
+        assert len(leaves) == 3
+        for a in models + leaves:
+            assert a.size == 8
+            assert canonical_form(a) == _least_encoding_fixing_ident(a)
+
+    @pytest.mark.parametrize("model_id, count", [("bra[k=4]", 24), ("bra[k=5]", 120)])
+    def test_automorphism_count_above_size_8(self, model_id, count):
+        assert automorphism_count(build_model(model_id)) == count
+
+    @pytest.mark.parametrize("model_id", ["bra[k=4]", "a7[k=4]"])
+    def test_find_isomorphism_above_size_8(self, model_id):
+        a = build_model(model_id)
+        assert a.size == 16
+        for seed in range(2):
+            b = _shuffled(a, f"{model_id}:{seed}")
+            p = find_isomorphism(a, b)
+            assert p is not None and _tables(relabel(a, p)) == _tables(b)
+            q = find_isomorphism(b, a)
+            assert q is not None and _tables(relabel(b, q)) == _tables(a)
 
     def test_random_tables_reach_nontrivial_automorphisms(self):
         rng = random.Random("iso-oracle:4")
