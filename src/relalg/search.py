@@ -4,13 +4,15 @@ The engine enumerates operation tables cell by cell, deciding every cell
 that is neither preset nor derived in layout order (identity constant,
 complement, converse, addition row-major, relative multiplication
 row-major), and prunes with ground-instance propagation.
-Each sentence in ``must_hold`` is compiled once per search into a
-straight-line function over the flat cell array (``_compile``); cells
-preset before the search, such as the guided search's Boolean part, are
-read as constants and never watched.  An instance, that function with one
-tuple of element values, is re-checked whenever a cell it last read
-changes, and a violated instance cuts the branch; the checker re-subscribes
-it in place to each cell as it reads it, so a recheck allocates nothing.
+Each sentence is compiled into a straight-line function over the flat
+cell array (``_compile``) once per process for each size and set of
+folded regions (``_checker``); cells preset before the search, such as
+the guided search's Boolean part, are read as constants and never
+watched.  An instance, that function with one tuple of element values,
+is an integer id into the engine's parallel lists; it is re-checked
+whenever a cell it last read changes, and a violated instance cuts the
+branch; the checker re-subscribes it in place to each cell as it reads
+it, so a recheck allocates nothing.
 A step rechecks each instance at most once: it subscribes with the step's
 stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
@@ -45,8 +47,8 @@ cross-check the backtracking engine at tiny sizes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
@@ -108,14 +110,15 @@ def _relabeling(n, perm):
     src += [base + inv[x] for base in (neg0, conv0) for x in range(n)]
     src += [base + inv[x] * n + inv[y] for base in (add0, comp0)
             for x in range(n) for y in range(n)]
-    return src, tuple(perm)
+    return tuple(src), tuple(perm)
 
 
 def _compile(s: Sentence, n: int, names, folded):
     """Compile ``s`` at size ``n`` into ``check(cells, watch, inst, ver,
     *values)`` (values bound to ``names`` in order), which returns True,
-    False, or None on an undecided cell.  It reads cells in evaluation order
-    and subscribes ``inst`` to each as it reads it, the blocking cell
+    False, or None on an undecided cell; it is pure, so searches share it
+    through ``_checker``.  It reads cells in evaluation order and subscribes
+    ``inst``, an instance id, to each as it reads it, the blocking cell
     included, by ``watch[k][inst] = ver``; cells of the regions whose base
     offset is in ``folded`` never change and are neither tested nor watched.
     A repeated subterm is evaluated once.  A quasi-equation is True at its
@@ -195,14 +198,15 @@ def _compile(s: Sentence, n: int, names, folded):
     return namespace["check"]
 
 
-@dataclass(slots=True, eq=False)
-class _Instance:
-    """One ground instance of a must-hold sentence: its compiled checker,
-    the values of its variables, and the version of its subscriptions: the
-    stamp of the step that last rechecked it (0 before any)."""
-    check: Callable
-    values: tuple[int, ...]
-    version: int = 0
+@cache
+def _checker(s: Sentence, n: int, folded: frozenset):
+    """``s`` compiled at size ``n`` with the regions ``folded`` read as
+    constants, and its instances' values in order: every assignment of
+    elements to its free variables.  Compiled once per process for each
+    key; the checker and tuples are immutable, so searches share them."""
+    names = sorted(free_vars(s))
+    return (_compile(s, n, names, folded),
+            tuple(product(range(n), repeat=len(names))))
 
 
 class _Engine:
@@ -220,12 +224,15 @@ class _Engine:
         self.propagate = propagate
         self.must_hold = must_hold
         self.must_fail = must_fail
-        self.instances: list[_Instance] = []
+        # must-hold instance i: its checker and the values of its variables,
+        # the version of its subscriptions (the stamp of the step that last
+        # rechecked it, 0 before any) and its sentence's index in must_hold
+        self.checks, self.values, self.version, self.owner = [], [], [], []
         # per must-fail sentence: its checker and the values of its instances
-        self.refuters: list[tuple[Callable, list]] = []
+        self.refuters: list[tuple] = []
         self.rechecks = 0
         self.refuted = 0  # scans that found a must-fail sentence holding
-        self.conflicts: dict[Callable, int] = {}  # checker -> failed steps
+        self.conflicts = [0] * len(must_hold)  # failed steps per sentence
         # derived_by_dep[d]: the (target, deps) with d in deps; target = OR of deps
         self.derived_by_dep: dict[int, list] = {}
 
@@ -241,34 +248,32 @@ class _Engine:
                 if self.cells[c] is None and c not in derived]
 
     def prime(self):
-        """Compile every must-hold and must-fail sentence, folding the
-        regions decided before the search (they never change, so nothing
-        watches them), and evaluate each must-hold instance once.  Returns
-        False if something is already violated."""
+        """Fetch the checker of every must-hold and must-fail sentence from
+        ``_checker``, folding the regions decided before the search (they
+        never change, so nothing watches them), lay out the must-hold
+        instances as ids into the parallel lists, and evaluate each once.
+        Returns False if something is already violated."""
         n, cells = self.n, self.cells
         regions = ((self.ident_cell, 1), (self.neg0, n), (self.conv0, n),
                    (self.add0, n * n), (self.comp0, n * n))
-        folded = {base for base, size in regions
-                  if None not in cells[base:base + size]}
-
-        def compiled(s):
-            names = sorted(free_vars(s))
-            return (_compile(s, n, names, folded),
-                    list(product(range(n), repeat=len(names))))
-        for s in self.must_hold:
-            check, values = compiled(s)
-            self.conflicts[check] = 0
-            self.instances += [_Instance(check, v) for v in values]
-        self.refuters = [compiled(s) for s in self.must_fail]
+        folded = frozenset(base for base, size in regions
+                           if None not in cells[base:base + size])
+        for i, s in enumerate(self.must_hold):
+            check, values = _checker(s, n, folded)
+            self.checks += [check] * len(values)
+            self.values += values
+            self.owner += [i] * len(values)
+        self.version = [0] * len(self.checks)
+        self.refuters = [_checker(s, n, folded) for s in self.must_fail]
         return self.evaluate()
 
     def evaluate(self):
         """Evaluate every instance at its current version; False at the first
         violated one.  Run once by ``prime`` and, without propagation, at
         each leaf."""
-        cells, watch = self.cells, self.watch
-        for inst in self.instances:
-            if inst.check(cells, watch, inst, inst.version, *inst.values) is False:
+        cells, watch, version = self.cells, self.watch, self.version
+        for inst, (check, values) in enumerate(zip(self.checks, self.values)):
+            if check(cells, watch, inst, version[inst], *values) is False:
                 return False
         return True
 
@@ -327,6 +332,7 @@ class _Engine:
         if not self.propagate:
             return True
         cells, watch = self.cells, self.watch
+        checks, values, version = self.checks, self.values, self.version
         self.stamp = stamp = self.stamp + 1
         rechecks = 0
         for c in queue:
@@ -335,15 +341,15 @@ class _Engine:
                 continue
             watch[c] = {}
             entries = iter(watchers.items())
-            for inst, version in entries:
-                if version != inst.version:
+            for inst, ver in entries:
+                if ver != version[inst]:
                     continue
-                if version == stamp:  # rechecked at an earlier cell of this step
+                if ver == stamp:  # rechecked at an earlier cell of this step
                     watch[c][inst] = stamp
                     continue
-                inst.version = stamp
+                version[inst] = stamp
                 rechecks += 1
-                if inst.check(cells, watch, inst, stamp, *inst.values) is False:
+                if checks[inst](cells, watch, inst, stamp, *values[inst]) is False:
                     # the culprit first, then the watchers rechecked before
                     # it, then those not reached with their old subscriptions
                     fresh = {inst: stamp}
@@ -351,7 +357,7 @@ class _Engine:
                     fresh.update(entries)
                     watch[c] = fresh
                     self.rechecks += rechecks
-                    self.conflicts[inst.check] += 1
+                    self.conflicts[self.owner[inst]] += 1
                     return False
         self.rechecks += rechecks
         return True
@@ -473,7 +479,7 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
-                        eng.rechecks, tuple(eng.conflicts.values()), cuts,
+                        eng.rechecks, tuple(eng.conflicts), cuts,
                         eng.refuted)
 
 
@@ -484,25 +490,28 @@ def search(spec: SearchSpec) -> SearchResult:
     of v - 1 and v cuts an identity v > 0), and leaves are deduplicated by
     canonical form."""
     n = spec.size
-    swaps = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = i + 1, i
-        swaps.append(_relabeling(n, perm))
     return _run(spec, _Engine(n, spec.must_hold, spec.must_fail, spec.propagate),
-                swaps)
+                _swaps(n))
 
 
-def _atom_permutations(n):
-    """The nontrivial permutations of the atoms of the n-element bitmask
-    Boolean algebra, each extended to the elements by OR over atoms: every
-    automorphism of the Boolean part except the identity map."""
+@cache
+def _swaps(n):
+    """The relabelings by the adjacent transpositions of the n elements,
+    built once per size; read-only."""
+    return tuple(_relabeling(n, (*range(i), i + 1, i, *range(i + 2, n)))
+                 for i in range(n - 1))
+
+
+@cache
+def _atom_relabelings(n):
+    """The relabelings by the nontrivial permutations of the atoms of the
+    n-element bitmask Boolean algebra, each extended to the elements by OR
+    over atoms: every automorphism of the Boolean part except the identity
+    map.  Built once per size; read-only."""
     k = (n - 1).bit_length()
-    perms = []
-    for images in permutations(range(k)):
-        perms.append([sum(1 << images[b] for b in range(k) if x >> b & 1)
-                      for x in range(n)])
-    return perms[1:]  # permutations() yields the identity first
+    perms = [[sum(1 << images[b] for b in range(k) if x >> b & 1)
+              for x in range(n)] for images in permutations(range(k))]
+    return tuple(_relabeling(n, p) for p in perms[1:])  # the identity comes first
 
 
 def boolean_guided_search(spec: SearchSpec) -> SearchResult:
@@ -552,7 +561,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     if axiom_sentence("R9") in spec.must_hold:
         additive(eng.conv0, 1)
 
-    return _run(spec, eng, [_relabeling(n, p) for p in _atom_permutations(n)])
+    return _run(spec, eng, _atom_relabelings(n))
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:

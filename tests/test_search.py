@@ -9,7 +9,8 @@ from relalg.algebra import (automorphism_count, canonical_form,
                             find_isomorphism, relabel)
 from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
 from relalg.catalog import a2, a7, build_model, list_models
-from relalg.search import (SearchSpec, _compile, _Instance, _layout,
+from relalg.report import run_verification_suite
+from relalg.search import (SearchSpec, _checker, _compile, _layout,
                            boolean_guided_search, naive_enumerate, search,
                            verify_minimality)
 from relalg.terms import free_vars, holds, parse_sentence
@@ -159,6 +160,15 @@ EXTRA_SENTENCES = ("r <= s, s <= t -> r <= t", "r.1 = 0 + r",
                    "r;s = 0, 1;r = r -> s.r^ = 0")
 
 
+@pytest.fixture
+def cold_cache():
+    """An empty checker cache for the test, emptied again after it, so that
+    no checker the test compiled reaches a later test."""
+    _checker.cache_clear()
+    yield
+    _checker.cache_clear()
+
+
 class _Recorder:
     """A ``watch`` stand-in for calling a compiled checker directly: it
     records in ``reads`` every cell the checker subscribes to."""
@@ -234,8 +244,9 @@ class TestCompiledChecker:
         (eng,) = engines
         for watchers in eng.watch:
             held = list(watchers)
-            assert all(isinstance(inst, _Instance) for inst in held)
-            assert len({id(inst) for inst in held}) == len(held)
+            assert all(type(inst) is int and 0 <= inst < len(eng.checks)
+                       for inst in held)
+            assert len(set(held)) == len(held)
 
     @pytest.mark.parametrize("runner, spec", [
         # the mixed search prunes every branch before a leaf, and search8
@@ -253,8 +264,8 @@ class TestCompiledChecker:
         snapshot, leaves = engine._Engine.snapshot, []
 
         def spy(eng):
-            for inst in eng.instances:
-                held = inst.check(eng.cells, _Recorder(), inst, 0, *inst.values)
+            for inst, (check, values) in enumerate(zip(eng.checks, eng.values)):
+                held = check(eng.cells, _Recorder(), inst, 0, *values)
                 assert held is True, inst
             leaves.append(eng)
             return snapshot(eng)
@@ -263,10 +274,13 @@ class TestCompiledChecker:
         assert leaves
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_each_step_checks_an_instance_once(self, name, monkeypatch):
+    def test_each_step_checks_an_instance_once(self, name, monkeypatch,
+                                               cold_cache):
         # after prime() every must-hold check is a recheck in set_cell, none
         # of them repeated within a step, and a leaf checks no must-hold
-        # instance; the must-fail scans pass no instance and are not counted
+        # instance; the must-fail scans pass no instance and are not counted.
+        # The cache is cleared around the run, so that every checker is
+        # compiled through the counting wrapper and none outlives the test
         engine = sys.modules["relalg.search"]
         compile_, set_cell = engine._compile, engine._Engine.set_cell
         snapshot = engine._Engine.snapshot
@@ -310,11 +324,11 @@ class TestCompiledChecker:
 
         def assert_subscribed(eng):
             checked.append(eng)
-            for inst in eng.instances:
+            for inst, (check, values) in enumerate(zip(eng.checks, eng.values)):
                 watch = _Recorder()
-                inst.check(eng.cells, watch, inst, 0, *inst.values)
+                check(eng.cells, watch, inst, 0, *values)
                 for k in watch.reads:
-                    assert eng.watch[k].get(inst) == inst.version, (inst, k)
+                    assert eng.watch[k].get(inst) == eng.version[inst], (inst, k)
 
         def spy_set_cell(eng, cell, value, trail):
             ok = set_cell(eng, cell, value, trail)
@@ -356,6 +370,60 @@ class TestCompiledChecker:
             watch = _Recorder()
             assert bicond(cells, watch, None, 0, r, s) is None
             assert watch.reads == [comp0 + r * n + s]
+
+
+def _counting_compile(monkeypatch):
+    """Route the engine's compiles through a wrapper; returns the list of
+    (sentence, size, folded regions) it compiled, in order."""
+    engine = sys.modules["relalg.search"]
+    compile_, compiled = engine._compile, []
+
+    def counting(s, n, names, folded):
+        compiled.append((s, n, folded))
+        return compile_(s, n, names, folded)
+    monkeypatch.setattr(engine, "_compile", counting)
+    return compiled
+
+
+class TestCheckerCache:
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_warm_cache_changes_nothing(self, name, monkeypatch, cold_cache):
+        # the same search from a cleared cache, again warm, and again after
+        # a search of its sentences at another size: one result, and the
+        # warm run compiles nothing
+        compiled = _counting_compile(monkeypatch)
+        cold, *_ = _run_pinned(name)
+        assert compiled
+        compiled.clear()
+        warm, *_ = _run_pinned(name)
+        assert compiled == []
+        runner, spec, *_ = PINNED_COUNTS[name]
+        runner(replace(spec, size=2))
+        after, *_ = _run_pinned(name)
+        assert cold.exhaustive
+        assert cold == warm == after
+        forms = [[canonical_form(m) for m in res.models]
+                 for res in (cold, warm, after)]
+        assert forms[0] == forms[1] == forms[2]
+
+    def test_repeated_sentence_keeps_its_own_conflicts(self):
+        # the copy shares its sentence's checker but not its count.  R1
+        # reads only the preset Boolean part, so its copy is never
+        # rechecked and leaves the tree as it was
+        runner, spec, *_ = PINNED_COUNTS["tarski-r7-size4"]
+        assert axiom_sentence("R1") in spec.must_hold
+        repeated = replace(spec, must_hold=spec.must_hold + (axiom_sentence("R1"),))
+        base, res = runner(spec), runner(repeated)
+        assert len(res.conflicts) == len(repeated.must_hold)
+        assert res.conflicts == base.conflicts + (0,)
+        assert (res.nodes_explored, res.rechecks) == (base.nodes_explored,
+                                                      base.rechecks)
+
+    def test_suite_compiles_each_checker_once(self, monkeypatch, cold_cache):
+        # its searches fetch 147 checkers, 63 of them distinct
+        compiled = _counting_compile(monkeypatch)
+        run_verification_suite()
+        assert len(compiled) == len(set(compiled)) == 63
 
 
 # specs for the up-to-iso against labeled cross-check: (runner, spec, nodes
