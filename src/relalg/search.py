@@ -1,9 +1,14 @@
 """Exhaustive search for finite algebras constrained by sentences.
 
 The engine enumerates operation tables cell by cell, deciding every cell
-that is neither preset nor derived in layout order (identity constant,
-complement, converse, addition row-major, relative multiplication
-row-major), and prunes with ground-instance propagation.
+that is neither preset nor derived, and prunes with ground-instance
+propagation.  A derived cell is fixed by a held law to the OR of other
+cells (a copy, if there is one), and is filled as soon as they are decided.
+The free cells are decided in layout order (identity constant, complement,
+converse, addition row-major, relative multiplication row-major), except
+that relative multiplication goes column by column when each of its derived
+cells is the OR of cells in its own column (R8 held without R8p): the
+dependencies of a derived cell are then decided one after another.
 Each sentence is compiled into a straight-line function over the flat
 cell array (``_compile``) once per process for each size and set of
 folded regions (``_checker``); cells preset before the search, such as
@@ -33,7 +38,8 @@ decided, so the same scan is the must-fail verdict.
 
 Up to isomorphism both searches break symmetry by lex-leader constraints
 alone (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes relabelings
-that keep its preset part, and a branch is cut as soon as its decided
+that keep its preset part and map every table that follows its derivation
+rules to one that does too, and a branch is cut as soon as its decided
 cells, read in decision order, are larger than their image under one of
 them.  The identity is decided like every other cell, so the comparison
 at its cell keeps only the least identity of each orbit.  The lex-least
@@ -242,10 +248,24 @@ class _Engine:
             self.derived_by_dep.setdefault(d, []).append(spec)
 
     def decision_cells(self):
-        """Every cell neither preset nor derived, in layout order."""
-        derived = {t for specs in self.derived_by_dep.values() for t, _ in specs}
-        return [c for c in range(self.total)
+        """Every cell neither preset nor derived, in layout order, except
+        that comp is decided column by column when each derived comp cell is
+        the OR of cells in its own column (R8 without R8p): a derived
+        column then completes as soon as its free rows are decided, and the
+        instances that read it wake early."""
+        n, comp0 = self.n, self.comp0
+        rules = {spec for specs in self.derived_by_dep.values() for spec in specs}
+        derived = {t for t, _ in rules}
+        free = [c for c in range(self.total)
                 if self.cells[c] is None and c not in derived]
+        comp_rules = [(t, deps) for t, deps in rules if t >= comp0]
+        if comp_rules and all((d - t) % n == 0
+                              for t, deps in comp_rules for d in deps):
+            # a stable sort: within a column the rows keep their order
+            comp = sorted((c for c in free if c >= comp0),
+                          key=lambda c: (c - comp0) % n)
+            free = [c for c in free if c < comp0] + comp
+        return free
 
     def prime(self):
         """Fetch the checker of every must-hold and must-fail sentence from
@@ -395,12 +415,17 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     classes it reached).
 
     With ``up_to_iso``, ``symmetries`` (pairs from ``_relabeling``) must
-    each carry the preset and derived cells into themselves.  A branch is
-    cut at the first decided position where a variable is larger than its
-    image; so the lex-least labeling of every class, which is never larger
-    than an image, is kept, and at the identity cell, decided first, only
-    the least identity of each orbit survives.  A labeled run drops them,
-    since it must reach every labeling."""
+    each keep the preset cells and map every table that satisfies the
+    engine's derivation rules to one that satisfies them too; a derived
+    cell may be carried onto a decided one.  The derived cells are
+    functions of the decided ones, so the decided cells, read in decision
+    order, order the tables of the search, and every image of one of them
+    is one of them.  A branch is cut at the first decided position where a
+    variable is larger than its image; so the lex-least labeling of every
+    class, which is never larger than an image, is kept, and at the
+    identity cell, decided first, only the least identity of each orbit
+    survives.  A labeled run drops them, since it must reach every
+    labeling."""
     n = spec.size
     variables = eng.decision_cells()
     if not spec.up_to_iso:
@@ -485,13 +510,20 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
 
 def search(spec: SearchSpec) -> SearchResult:
     """Generic cell-by-cell search; the identity is decided like every
-    other cell.  With ``up_to_iso`` the adjacent transpositions of all the
-    elements break symmetry, so lex-leader keeps identity 0 alone (the swap
-    of v - 1 and v cuts an identity v > 0), and leaves are deduplicated by
-    canonical form."""
+    other cell.  With R1 held, add[j][i] is derived from add[i][j] for
+    i < j, a copy.  With ``up_to_iso`` the adjacent transpositions of all
+    the elements break symmetry, so lex-leader keeps identity 0 alone (the
+    swap of v - 1 and v cuts an identity v > 0), and leaves are
+    deduplicated by canonical form.  A transposition may carry a decided
+    add cell onto a derived one, but it maps commutative tables to
+    commutative tables, which is what lex-leader needs of it."""
     n = spec.size
-    return _run(spec, _Engine(n, spec.must_hold, spec.must_fail, spec.propagate),
-                _swaps(n))
+    eng = _Engine(n, spec.must_hold, spec.must_fail, spec.propagate)
+    if axiom_sentence("R1") in spec.must_hold:
+        for i in range(n):
+            for j in range(i + 1, n):
+                eng.add_derived(eng.add0 + j * n + i, [eng.add0 + i * n + j])
+    return _run(spec, eng, _swaps(n))
 
 
 @cache
@@ -524,11 +556,15 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     with that bitmask Boolean part, while ``labeled_count`` counts every
     labeling by orbit sums.  One additive rule derives cells: the cell at a
     composite x is the OR of the cells at the atoms of x, in each column of
-    comp with R8 held, else in each row with R8p, and in conv with R9.  The
-    other cells of ident, conv and comp are decided in layout order, the
-    identity like every other cell.  With ``up_to_iso`` the atom
-    permutations break symmetry, and lex-leader keeps the least identity of
-    each orbit: the least mask of each atom count (0, 1, 3, 7, ...).
+    comp with R8 held, in each row with R8p, and in conv with R9.  With
+    both R8 and R8p, R8p derives only the rows R8 leaves free, 0 and the
+    atoms, so comp is decided on {0, atoms}^2 alone.  The other cells of
+    ident, conv and comp are decided in layout order, the identity like
+    every other cell, except that with R8 held without R8p comp goes
+    column by column.  With ``up_to_iso`` the atom permutations break
+    symmetry, and lex-leader keeps the least identity of each orbit: the
+    least mask of each atom count (0, 1, 3, 7, ...).  They map atoms to
+    atoms and composites to composites, so they keep every rule.
     """
     for rid in ("R1", "R2", "R3"):
         if axiom_sentence(rid) not in spec.must_hold:
@@ -552,12 +588,14 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
                 eng.add_derived(base + x * step,
                                 [base + p * step for p in atoms if x & p])
 
-    if axiom_sentence("R8") in spec.must_hold:
+    r8 = axiom_sentence("R8") in spec.must_hold
+    if r8:
         for j in range(n):  # the rows of each column
             additive(eng.comp0 + j, n)
-    elif axiom_sentence("R8p") in spec.must_hold:
-        for i in range(n):  # the columns of each row
-            additive(eng.comp0 + i * n, 1)
+    if axiom_sentence("R8p") in spec.must_hold:
+        for i in range(n):  # the columns of each row R8 leaves free
+            if not (r8 and i & (i - 1)):
+                additive(eng.comp0 + i * n, 1)
     if axiom_sentence("R9") in spec.must_hold:
         additive(eng.conv0, 1)
 

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import product
@@ -7,7 +8,8 @@ import pytest
 
 from relalg.algebra import (automorphism_count, canonical_form,
                             find_isomorphism, relabel)
-from relalg.axioms import AXIOM_TEXT, R_SYS, TARSKI, axiom_sentence
+from relalg.axioms import (AXIOM_TEXT, R_SYS, S_SYS, TARSKI, axiom_sentence,
+                           satisfies)
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.report import run_verification_suite
 from relalg.search import (SearchSpec, _checker, _compile, _layout,
@@ -24,11 +26,13 @@ def _forms(models):
     return sorted(canonical_form(m) for m in models)
 
 
-# three structurally different specs used for the oracle cross-checks
+# structurally different specs used for the oracle cross-checks; all but
+# the third hold R1, so the generic search derives add[j][i] from add[i][j]
 ORACLE_SPECS = [
     SearchSpec(2, _axioms(("R1", "R5"))),
     SearchSpec(2, _axioms(("R1", "R2", "R3")), _axioms(("R10",))),
     SearchSpec(2, _axioms(("R6", "R7")), _axioms(("R5",))),
+    SearchSpec(2, _axioms(i for i in TARSKI if i != "R2")),
 ]
 
 
@@ -133,15 +137,15 @@ PINNED_COUNTS = {
                                 37, 671, 224, 4, 4),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 2681, 28869, 5342, 18, 0),
+        up_to_iso=True), 1342, 19646, 2667, 15, 0),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 733, 15551, 2157, 23, 3),
+        up_to_iso=True), 706, 18671, 2055, 44, 3),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1195, 32062, 3540, 46, 0),
+        _axioms(("R4",)), up_to_iso=True), 1912, 69707, 5680, 57, 0),
 }
 
 
@@ -435,29 +439,47 @@ SYMMETRY_ORACLE_SPECS = {
                              replace(_search8_spec(), must_fail=()),
                              4486, 10, 329280),
     "tarski-size4": (boolean_guided_search, SearchSpec(4, _axioms(TARSKI)),
-                     557, 3, 60),
+                     571, 3, 60),
     "rsys-size4": (boolean_guided_search, SearchSpec(4, _axioms(R_SYS)),
                    349, 3, 60),
+    # R8 and R8p both held: comp is derived from {0, atoms}^2
+    "ssys-size4": (boolean_guided_search, SearchSpec(4, _axioms(S_SYS)),
+                   1605, 3, 60),
+    "ssys-r7-size4": (boolean_guided_search,
+                      SearchSpec(4, _axioms(S_SYS), _axioms(("R7",))),
+                      1605, 0, 0),
+    # the generic search with R1 held, which derives add[j][i] from add[i][j]
+    "tarski-minus-r2-size2": (search,
+                              SearchSpec(2, _axioms(i for i in TARSKI if i != "R2")),
+                              110, 1, 2),
     **{name: (*PINNED_COUNTS[name][:2], nodes, classes, labelings)
        for name, nodes, classes, labelings in (
            ("rsys-r9-symmetric-size8", 73, 0, 0),
-           ("tarski-r2-size3", 25393, 1, 6),
-           ("tarski-r7-size4", 1443, 2, 48),
-           ("mixed-r4-size4", 2911, 0, 0))},
+           ("tarski-r2-size3", 11410, 1, 6),
+           ("tarski-r7-size4", 1620, 2, 48),
+           ("mixed-r4-size4", 4767, 0, 0))},
 }
 
 
-def _run_args(runner, spec, monkeypatch):
-    """The engine's decision cells in order and the symmetries ``runner``
-    passes to it for ``spec``, a search up to isomorphism."""
+def _engine_and_symmetries(runner, spec, monkeypatch):
+    """The engine ``runner`` builds for ``spec`` and the symmetries it
+    passes to ``_run``."""
     engine = sys.modules["relalg.search"]
     passed, run = [], engine._run
     monkeypatch.setattr(engine, "_run", lambda spec, eng, symmetries:
-                        passed.append((eng.decision_cells(), symmetries))
+                        passed.append((eng, symmetries))
                         or run(spec, eng, symmetries))
     runner(replace(spec, node_limit=1))
     (args,) = passed
     return args
+
+
+def _run_args(runner, spec, monkeypatch):
+    """The engine's decision cells in order and the symmetries ``runner``
+    passes to it for ``spec``, a search up to isomorphism; the run undoes
+    every cell it set, so the engine still has its decision cells."""
+    eng, symmetries = _engine_and_symmetries(runner, spec, monkeypatch)
+    return eng.decision_cells(), symmetries
 
 
 def _least_identities(runner, n):
@@ -497,11 +519,21 @@ class TestDecisionOrder:
         # every cell, in layout order
         (search, 3, (), list(range(25))),
         (boolean_guided_search, 4, (), [0, 5, 6, 7, 8, *range(25, 41)]),
-        # R8 derives comp row 3 (= 1 + 2) from rows 1 and 2
-        (boolean_guided_search, 4, ("R8",), [0, 5, 6, 7, 8, *range(25, 37)]),
+        # R1 derives add[1][0], add[2][0] and add[2][1] (cells 10, 13, 14)
+        # from add[0][1], add[0][2] and add[1][2]
+        (search, 3, ("R1",), [*range(10), 11, 12, *range(15, 25)]),
+        # R8 derives comp row 3 (= 1 + 2) from rows 1 and 2; the free rows
+        # are decided column by column, so each derived cell completes after
+        # the three cells of its column
+        (boolean_guided_search, 4, ("R8",),
+         [0, 5, 6, 7, 8, 25, 29, 33, 26, 30, 34, 27, 31, 35, 28, 32, 36]),
         # R8p derives comp column 3 of each row from columns 1 and 2
         (boolean_guided_search, 4, ("R8p",),
          [0, 5, 6, 7, 8, 25, 26, 27, 29, 30, 31, 33, 34, 35, 37, 38, 39]),
+        # both: R8 derives row 3 and R8p column 3 of rows 0, 1 and 2, so
+        # comp is decided on rows and columns {0, 1, 2}, row by row
+        (boolean_guided_search, 4, ("R8", "R8p"),
+         [0, 5, 6, 7, 8, 25, 26, 27, 29, 30, 31, 33, 34, 35]),
         # R9 derives the converse of 3 from those of 1 and 2
         (boolean_guided_search, 4, ("R9",), [0, 5, 6, 7, *range(25, 41)]),
     ])
@@ -509,6 +541,61 @@ class TestDecisionOrder:
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
         assert _run_args(runner, spec, monkeypatch)[0] == order
+
+
+class TestDerivedCells:
+    @pytest.mark.parametrize("runner, size, held", [
+        (search, 3, ("R1",)),
+        (search, 4, ("R1",)),
+        (boolean_guided_search, 4, ("R8",)),
+        (boolean_guided_search, 4, ("R8p",)),
+        (boolean_guided_search, 4, ("R8", "R8p")),
+        (boolean_guided_search, 8, ("R8", "R8p", "R9")),
+    ])
+    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch):
+        # what lex-leader needs of the relabelings: each maps a table that
+        # satisfies the rules to one that does too, so the image of a rule
+        # is a rule (a copy, with one dependency, read either way; the
+        # guided relabelings also keep OR, see test_guided_symmetries).  And
+        # each derived cell has one rule and follows from the decided cells
+        boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
+        spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
+        eng, symmetries = _engine_and_symmetries(runner, spec, monkeypatch)
+        rules = {(t, frozenset(deps)) for specs in eng.derived_by_dep.values()
+                 for t, deps in specs}
+        targets = {t for t, _ in rules}
+        assert symmetries and rules and len(targets) == len(rules)
+        for src, _ in symmetries:
+            for t, deps in rules:
+                d, *more = deps
+                assert ((src[t], frozenset(src[e] for e in deps)) in rules or
+                        not more and (src[d], frozenset({src[t]})) in rules)
+        known = set(eng.decision_cells())
+        known |= {c for c, v in enumerate(eng.cells) if v is not None}
+        assert not known & targets
+        while fired := {t for t, deps in rules if t not in known and deps <= known}:
+            known |= fired
+        assert targets <= known
+
+    @pytest.mark.parametrize("name", ["tarski-minus-r2-size2", "tarski-r2-size3",
+                                      "tarski-size4", "rsys-size4",
+                                      "ssys-size4", "ssys-r7-size4"])
+    def test_rules_lose_no_model(self, name, monkeypatch):
+        # every table that satisfies the held laws satisfies the rules, so
+        # a search that decides the derived cells instead finds the same
+        # classes, on a larger tree
+        runner, spec, _, classes, labelings = SYMMETRY_ORACLE_SPECS[name]
+        spec = replace(spec, up_to_iso=True)
+        derived = runner(spec)
+        engine = sys.modules["relalg.search"]
+        monkeypatch.setattr(engine._Engine, "add_derived",
+                            lambda eng, target, deps: None)
+        decided = runner(spec)
+        assert derived.exhaustive and decided.exhaustive
+        assert _forms(derived.models) == _forms(decided.models)
+        assert (derived.iso_class_count, derived.labeled_count) == (classes, labelings)
+        assert (decided.iso_class_count, decided.labeled_count) == (classes, labelings)
+        assert derived.nodes_explored < decided.nodes_explored
 
 
 class TestSymmetryBreaking:
@@ -695,12 +782,12 @@ class TestMinimality:
         assert all(o.model_count == 0 and o.exhaustive for o in rep.outcomes)
 
     def test_r9_below_eight_skips_non_powers(self, monkeypatch):
-        # each search gets the budget the size-4 one needs, 975 nodes, so
+        # each search gets the budget the size-4 one needs, 451 nodes, so
         # one that lost its pruning stops there and fails at once
         engine = sys.modules["relalg.search"]
         guided = engine.boolean_guided_search
         monkeypatch.setattr(engine, "boolean_guided_search",
-                            lambda spec: guided(replace(spec, node_limit=975)))
+                            lambda spec: guided(replace(spec, node_limit=451)))
         rep = verify_minimality("R9", TARSKI, 8, build_model("a9"))
         searched = [o.size for o in rep.outcomes if o.skipped_reason is None]
         skipped = [o.size for o in rep.outcomes if o.skipped_reason]
@@ -719,6 +806,19 @@ class TestMinimality:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             verify_minimality("R2", TARSKI, 9)
+
+
+@pytest.mark.skipif(os.environ.get("RELALG_LONG") != "1",
+                    reason="long-running; set RELALG_LONG=1 to enable")
+def test_full_tarski_size8():
+    # every Tarski algebra of size 8, on a budget of exactly its pinned
+    # nodes; about 4 s
+    nodes = 31840
+    res = boolean_guided_search(SearchSpec(8, _axioms(TARSKI), up_to_iso=True,
+                                           node_limit=nodes))
+    assert res.exhaustive and res.nodes_explored == nodes
+    assert (res.iso_class_count, res.labeled_count) == (13, 389760)
+    assert all(satisfies(m, TARSKI) for m in res.models)
 
 
 class TestCustomSentences:
