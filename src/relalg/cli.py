@@ -167,6 +167,7 @@ def cmd_search(args) -> int:
             "conflicts": conflicts,
             "symmetry_cuts": res.symmetry_cuts,
             "refuted": res.refuted,
+            "instances": res.instances,
             "models": [json.loads(to_json(m)) for m in res.models],
         }
         print(json.dumps(doc, indent=1))
@@ -180,6 +181,7 @@ def cmd_search(args) -> int:
             f"{i} {c}" for i, c in conflicts.items()) or "none"))
         print(f"symmetry cuts:  {res.symmetry_cuts}")
         print(f"refuted:        {res.refuted}")
+        print(f"instances:      {res.instances}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))

@@ -10,21 +10,26 @@ that relative multiplication goes column by column when each of its derived
 cells is the OR of cells in its own column (R8 held without R8p): the
 dependencies of a derived cell are then decided one after another.
 Each sentence is compiled into a straight-line function over the flat
-cell array (``_compile``) once per process for each size and set of
-folded regions (``_checker``); cells preset before the search, such as
-the guided search's Boolean part, are read as constants and never
-watched.  An instance, that function with one tuple of element values,
-is an integer id into the engine's parallel lists; it is re-checked
-whenever a cell it last read changes, and a violated instance cuts the
-branch; the checker re-subscribes it in place to each cell as it reads
-it, so a recheck allocates nothing.
+cell array (``_compile``); regions preset before the search, such as the
+guided search's Boolean part, are read as constants and never watched.
+An instance, that function with one tuple of element values, is an
+integer id into the engine's parallel lists; it is re-checked whenever a
+cell it last read changes, and a violated instance cuts the branch; the
+checker re-subscribes it in place to each cell as it reads it, so a
+recheck allocates nothing.  The root state is computed once per process
+for each sentence, size and preset cells (``_checker``): the checker, its
+instances evaluated once on the preset cells, less those that hold there
+and read no other cell, and the cells each kept instance subscribed to.
+A search lays it out and evaluates nothing before its first decision.
 A step rechecks each instance at most once: it subscribes with the step's
 stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
 front of its cell's watch so that the next value tried there meets it first;
-the watchers not reached keep their subscriptions.  No instance is violated
-before a step, so whether it fails depends on the new cells alone: the order
-changes the number of rechecks, never the nodes.  A cell gains a value only
+the front watcher is rechecked before the rest, so a culprit that fails
+again stays where it is; the watchers not reached keep their
+subscriptions.  No instance is violated before a step, so whether it
+fails depends on the new cells alone: the order changes the number of
+rechecks, never the nodes.  A cell gains a value only
 in a step that runs its watchers, so at a leaf every instance's last
 evaluation returned True and a propagating search checks nothing there.
 Each ``must_fail`` sentence is compiled the same way but never watched,
@@ -95,6 +100,9 @@ class SearchResult:
     conflicts: tuple[int, ...] = ()
     symmetry_cuts: int = 0  # branches cut by the lex-leader constraints
     refuted: int = 0  # branches cut as a must-fail sentence held on all instances
+    # must-hold instances laid out: those that hold on the preset cells and
+    # read no other cell are dropped
+    instances: int = 0
 
 
 # --- cell layout ------------------------------------------------------------
@@ -205,14 +213,34 @@ def _compile(s: Sentence, n: int, names, folded):
 
 
 @cache
-def _checker(s: Sentence, n: int, folded: frozenset):
-    """``s`` compiled at size ``n`` with the regions ``folded`` read as
-    constants, and its instances' values in order: every assignment of
-    elements to its free variables.  Compiled once per process for each
-    key; the checker and tuples are immutable, so searches share them."""
+def _checker(s: Sentence, n: int, preset: tuple):
+    """``s`` compiled at size ``n`` and evaluated once on ``preset``, an
+    engine's cells before its search.  Returns the checker, which reads
+    the regions that ``preset`` fully decides as constants; whether some
+    instance is violated; the values of its instances, every assignment of
+    elements to its free variables in order, less those that hold and
+    subscribe nowhere (they read only preset cells, so they hold in every
+    table); and, for each cell that some instance subscribed to, the
+    positions of those instances in the kept values, in order.  A false
+    instance that subscribes nowhere is kept: for a must-fail sentence it
+    is a witness.  Computed once per process for each key; every part is
+    immutable, so searches share them."""
     names = sorted(free_vars(s))
-    return (_compile(s, n, names, folded),
-            tuple(product(range(n), repeat=len(names))))
+    regions = zip(_layout(n)[:-1], (1, n, n, n * n, n * n))
+    folded = frozenset(base for base, size in regions
+                       if None not in preset[base:base + size])
+    check = _compile(s, n, names, folded)
+    values = list(product(range(n), repeat=len(names)))
+    watch = [{} for _ in preset]  # records each subscription, by position
+    verdicts = [check(preset, watch, i, 0, *v) for i, v in enumerate(values)]
+    subscribed = set().union(*watch)
+    kept = [i for i, held in enumerate(verdicts)
+            if held is not True or i in subscribed]
+    position = {i: j for j, i in enumerate(kept)}
+    watchers = tuple((c, tuple(position[i] for i in w))
+                     for c, w in enumerate(watch) if w)
+    return (check, False in verdicts, tuple(values[i] for i in kept),
+            watchers)
 
 
 class _Engine:
@@ -268,29 +296,32 @@ class _Engine:
         return free
 
     def prime(self):
-        """Fetch the checker of every must-hold and must-fail sentence from
-        ``_checker``, folding the regions decided before the search (they
-        never change, so nothing watches them), lay out the must-hold
-        instances as ids into the parallel lists, and evaluate each once.
-        Returns False if something is already violated."""
-        n, cells = self.n, self.cells
-        regions = ((self.ident_cell, 1), (self.neg0, n), (self.conv0, n),
-                   (self.add0, n * n), (self.comp0, n * n))
-        folded = frozenset(base for base, size in regions
-                           if None not in cells[base:base + size])
+        """Lay out the root state ``_checker`` caches for the cells preset
+        before the search: the must-hold instances it keeps, as ids into the
+        parallel lists, each subscribed at version 0 to the cells it read,
+        in id order, as evaluating them in turn would subscribe them; and
+        the kept must-fail instances.  Evaluates nothing.  Returns False
+        if something is already violated."""
+        preset, watch = tuple(self.cells), self.watch
+        ok = True
         for i, s in enumerate(self.must_hold):
-            check, values = _checker(s, n, folded)
+            check, violated, values, watchers = _checker(s, self.n, preset)
+            base = len(self.checks)
             self.checks += [check] * len(values)
             self.values += values
             self.owner += [i] * len(values)
+            for c, positions in watchers:
+                watch[c].update((base + j, 0) for j in positions)
+            ok = ok and not violated
         self.version = [0] * len(self.checks)
-        self.refuters = [_checker(s, n, folded) for s in self.must_fail]
-        return self.evaluate()
+        # the checker and kept values of each must-fail sentence
+        self.refuters = [_checker(s, self.n, preset)[::2]
+                         for s in self.must_fail]
+        return ok
 
     def evaluate(self):
         """Evaluate every instance at its current version; False at the first
-        violated one.  Run once by ``prime`` and, without propagation, at
-        each leaf."""
+        violated one.  Run at each leaf of a search without propagation."""
         cells, watch, version = self.cells, self.watch, self.version
         for inst, (check, values) in enumerate(zip(self.checks, self.values)):
             if check(cells, watch, inst, version[inst], *values) is False:
@@ -329,7 +360,10 @@ class _Engine:
         watchers of everything that changed, each instance at most once.
         Returns False at the first violated instance, counted as its
         sentence's conflict and moved to the front of the cell's watch; the
-        watchers not reached stay subscribed for after the undo."""
+        watchers not reached stay subscribed for after the undo.  A cell's
+        front watcher, often the last culprit there, is rechecked before its
+        watch is swapped for a fresh dict, so a repeated culprit fails in
+        place, with no rebuild."""
         queue = [cell]
         self.cells[cell] = value
         trail.append(cell)
@@ -359,6 +393,17 @@ class _Engine:
             watchers = watch[c]
             if not watchers:
                 continue
+            inst = next(iter(watchers))
+            if watchers[inst] == version[inst] != stamp:
+                version[inst] = stamp
+                rechecks += 1
+                if checks[inst](cells, watch, inst, stamp, *values[inst]) is False:
+                    # the order a rebuild would give; the stamp is set even
+                    # if the check, through a derived cell, did not read c
+                    watchers[inst] = stamp
+                    self.rechecks += rechecks
+                    self.conflicts[self.owner[inst]] += 1
+                    return False
             watch[c] = {}
             entries = iter(watchers.items())
             for inst, ver in entries:
@@ -436,7 +481,8 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     exhausted = True
 
     if not eng.prime():
-        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
+        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
+                            instances=len(eng.checks))
 
     def accept(resume):
         if not eng.propagate and not eng.evaluate():
@@ -505,7 +551,7 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
                         eng.rechecks, tuple(eng.conflicts), cuts,
-                        eng.refuted)
+                        eng.refuted, len(eng.checks))
 
 
 def search(spec: SearchSpec) -> SearchResult:

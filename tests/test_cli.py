@@ -136,6 +136,18 @@ class TestCommands:
         code, out, _ = run(capsys, *argv)
         assert "refuted:        1\n" in out
 
+    def test_search_instances(self, capsys):
+        # R1-R3 read only the preset Boolean part, so the guided search lays
+        # out none of their instances; the generic search keeps R1's 4
+        for argv, instances in ((("--size", "4", "--hold", "R1-R3", "--guided"), 0),
+                                (("--size", "2", "--hold", "R1"), 4)):
+            argv += ("--fail", "R1", "--iso")
+            code, out, _ = run(capsys, "search", *argv, "--json")
+            assert code == 0
+            assert json.loads(out)["instances"] == instances
+            code, out, _ = run(capsys, "search", *argv)
+            assert f"instances:      {instances}\n" in out
+
     def test_search_budget_reached_exit_code(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")
         assert code == 3

@@ -204,6 +204,30 @@ class TestCompiledChecker:
         assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
                 res.symmetry_cuts, res.refuted] == counts
 
+    def test_pinned_size8_tree(self):
+        # R_SYS with R7 must-fail at size 8 has no model, on a tree that
+        # propagates, fails steps, cuts and refutes at every depth; a budget
+        # of exactly its pinned nodes, about 0.7 s
+        res = boolean_guided_search(SearchSpec(
+            8, _axioms(R_SYS), _axioms(("R7",)), up_to_iso=True, node_limit=7742))
+        assert res.exhaustive and res.iso_class_count == 0
+        assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
+                res.symmetry_cuts, res.refuted] == [7742, 524495, 53836, 255, 13]
+        assert res.instances == 1168
+
+    def test_instances_drop_what_holds_on_the_preset(self):
+        # the guided search drops the instances of R1-R3, which read only
+        # its preset Boolean part, 8^2 + 8^3 + 8^2 of them at size 8; the
+        # generic search presets nothing and keeps every instance
+        res, *_ = _run_pinned("rsys-r9-symmetric-size8")
+        spec = PINNED_COUNTS["rsys-r9-symmetric-size8"][1]
+        every = sum(8 ** len(free_vars(s)) for s in spec.must_hold)
+        assert (every, res.instances) == (1752, 1112)
+        assert every - res.instances == 8 ** 2 + 8 ** 3 + 8 ** 2
+        res, *_ = _run_pinned("tarski-r2-size3")
+        spec = PINNED_COUNTS["tarski-r2-size3"][1]
+        assert res.instances == sum(3 ** len(free_vars(s)) for s in spec.must_hold)
+
     @pytest.mark.parametrize("model_id", list_models())
     def test_agrees_with_holds(self, model_id):
         a = build_model(model_id)
@@ -389,7 +413,77 @@ def _counting_compile(monkeypatch):
     return compiled
 
 
+def _unprimed_engine(runner, spec, monkeypatch):
+    """The engine ``runner`` builds for ``spec``, before ``prime``."""
+    engine = sys.modules["relalg.search"]
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_run", lambda spec, eng, symmetries: built.append(eng))
+        runner(spec)
+    (eng,) = built
+    return eng
+
+
+def _every_instance_evaluated(eng, sentences):
+    """Every instance of ``sentences`` evaluated once, in turn, on the
+    engine's preset cells, as an engine without the root-state cache would
+    lay them out, each instance named (sentence index, values): the
+    verdict, each cell's watchers in order, and the instances that hold
+    and subscribe nowhere."""
+    n, cells = eng.n, eng.cells
+    regions = zip(_layout(n)[:-1], (1, n, n, n * n, n * n))
+    folded = {base for base, size in regions if None not in cells[base:base + size]}
+    watch = [{} for _ in cells]
+    verdict, free = True, set()
+    for i, s in enumerate(sentences):
+        names = sorted(free_vars(s))
+        check = _compile(s, n, names, folded)
+        for values in product(range(n), repeat=len(names)):
+            held = check(cells, watch, (i, values), 0, *values)
+            verdict = verdict and held is not False
+            if held is True and all((i, values) not in w for w in watch):
+                free.add((i, values))
+    return verdict, [list(w) for w in watch], free
+
+
+# must-hold sentences read on the guided search's preset Boolean part: a
+# quasi-equation whose instances with r+s != r hold there after reading the
+# undecided cell comp[r][s], so they are kept, and an equation false there,
+# so the root is violated; and must-fail sentences false and true there
+PRESET_VIOLATED = (boolean_guided_search, SearchSpec(
+    4, _axioms(("R1", "R2", "R3")) + (parse_sentence("r;s = r, r+s = r -> r = s"),
+                                      parse_sentence("r+s = r")),
+    (parse_sentence("r+s = r"), parse_sentence("r+s = s+r"))))
+
+
 class TestCheckerCache:
+    @pytest.mark.parametrize("runner, spec, verdict", [
+        *(pytest.param(*PINNED_COUNTS[name][:2], True, id=name)
+          for name in sorted(PINNED_COUNTS)),
+        pytest.param(*PRESET_VIOLATED, False, id="preset-violated")])
+    def test_root_state_matches_evaluating_every_instance(self, runner, spec,
+                                                          verdict, monkeypatch):
+        # prime lays out the cached root state and evaluates nothing; it
+        # must match evaluating every instance: the same verdict, each
+        # cell's watchers in the same order at version 0, and only the
+        # instances that hold and subscribe nowhere dropped
+        eng = _unprimed_engine(runner, spec, monkeypatch)
+        evaluated, watch, free = _every_instance_evaluated(eng, spec.must_hold)
+        assert eng.prime() is evaluated is verdict
+        kept = list(zip(eng.owner, eng.values))
+        assert [[kept[inst] for inst in w] for w in eng.watch] == watch
+        assert all(ver == 0 for w in eng.watch for ver in w.values())
+        assert eng.version == [0] * len(kept)
+        every = [(i, values) for i, s in enumerate(spec.must_hold)
+                 for values in product(range(spec.size),
+                                       repeat=len(free_vars(s)))]
+        assert kept == [inst for inst in every if inst not in free]
+        # a must-fail instance false on the preset is a witness and is kept
+        for s, (_, values) in zip(spec.must_fail, eng.refuters):
+            _, _, free = _every_instance_evaluated(eng, (s,))
+            every = product(range(spec.size), repeat=len(free_vars(s)))
+            assert list(values) == [v for v in every if (0, v) not in free]
+
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_warm_cache_changes_nothing(self, name, monkeypatch, cold_cache):
         # the same search from a cleared cache, again warm, and again after
@@ -728,6 +822,24 @@ class TestMustFailSemantics:
         assert res.exhaustive
         assert (res.nodes_explored, res.refuted) == (1, 1)
         assert (res.models, res.labeled_count, res.iso_class_count) == ([], 0, 0)
+
+    def test_must_fail_sentences_decided_on_the_preset(self):
+        # r+s = r is false on the preset Boolean part, a witness before the
+        # first decision, so it cuts nothing; r+s = s+r holds on every
+        # instance there, so the root is refuted
+        held = SearchSpec(4, _axioms(TARSKI), up_to_iso=True)
+        base = boolean_guided_search(held)
+        assert (base.iso_class_count, base.labeled_count,
+                base.nodes_explored) == (3, 60, 297)
+        res = boolean_guided_search(
+            replace(held, must_fail=(parse_sentence("r+s = r"),)))
+        assert res.exhaustive and _forms(res.models) == _forms(base.models)
+        assert (res.iso_class_count, res.labeled_count, res.nodes_explored,
+                res.refuted) == (3, 60, 297, 0)
+        res = boolean_guided_search(
+            replace(held, must_fail=(parse_sentence("r+s = s+r"),)))
+        assert res.exhaustive
+        assert (res.nodes_explored, res.iso_class_count, res.refuted) == (1, 0, 1)
 
 
 class TestBooleanGuidedSearch:
