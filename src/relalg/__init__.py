@@ -22,9 +22,8 @@ from .catalog import (MODEL_BUILDERS, GroupSpec, PartialGroupoidSpec,
                       boolean_group, boolean_ra, build_model,
                       complex_of_partial_groupoid, cyclic_group, group_complex,
                       list_models, lyndon_d, m3, parse_model_id, z3_complex)
-from .search import (MinimalityReport, SearchResult, SearchSpec,
-                     boolean_guided_search, naive_enumerate, search,
-                     verify_minimality)
+from .search import (SearchResult, SearchSpec, boolean_guided_search,
+                     naive_enumerate, search)
 from .report import Claim, Report, render_model, run_verification_suite
 
 __all__ = [
@@ -49,8 +48,8 @@ __all__ = [
     "group_complex", "list_models", "lyndon_d", "m3", "parse_model_id",
     "z3_complex",
     # search
-    "MinimalityReport", "SearchResult", "SearchSpec", "boolean_guided_search",
-    "naive_enumerate", "search", "verify_minimality",
+    "SearchResult", "SearchSpec", "boolean_guided_search", "naive_enumerate",
+    "search",
     # report
     "Claim", "Report", "render_model", "run_verification_suite",
 ]

@@ -18,7 +18,7 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
-from .report import _search_result_evidence, render_model, run_verification_suite
+from .report import render_model, run_verification_suite
 from .search import SearchSpec, boolean_guided_search, search
 from .terms import EvalError, ParseError, eval_term, parse_term
 
@@ -163,7 +163,11 @@ def cmd_search(args) -> int:
     if args.json:
         doc = {
             "size": args.size,
-            **_search_result_evidence(res),
+            "labeled_count": res.labeled_count,
+            "iso_class_count": res.iso_class_count,
+            "exhaustive": res.exhaustive,
+            "nodes_explored": res.nodes_explored,
+            "rechecks": res.rechecks,
             "conflicts": conflicts,
             "symmetry_cuts": res.symmetry_cuts,
             "refuted": res.refuted,

@@ -19,7 +19,7 @@ from .catalog import build_model, list_models
 # boolean_guided_search is unused here, but the benchmark's tracer test
 # checks that its wrapper reaches this namespace
 from .search import (SearchResult, _independence_search,  # noqa: F401
-                     boolean_guided_search, verify_minimality)
+                     boolean_guided_search)
 from .terms import check_validity, holds
 from . import golden
 
@@ -135,16 +135,6 @@ def _fails_at(a: FiniteAlgebra, axiom_id: str, names_env: dict):
     idx = golden.index_map(a)
     env = {var: idx[name] for var, name in names_env.items()}
     return not holds(a, axiom_sentence(axiom_id), env)
-
-
-def _search_result_evidence(res: SearchResult) -> dict:
-    return {
-        "labeled_count": res.labeled_count,
-        "iso_class_count": res.iso_class_count,
-        "exhaustive": res.exhaustive,
-        "nodes_explored": res.nodes_explored,
-        "rechecks": res.rechecks,
-    }
 
 
 # The stated counterexamples: (axiom, model id, variable -> element name).
@@ -380,69 +370,72 @@ def run_verification_suite(include_long_running: bool = False,
     run("paper.s8.b5-right-identity",
         "b5 has a right identity element yet fails R5", "extra-fact", b5_fact)
 
-    # (g) minimality
-    minimality_jobs = [
+    # (g)-(h) search claims: at each size, the search that holds the system
+    # less the target and fails the target finds an accepted class count
+    population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
+
+    def search_claim(system, target, size, sizes, accept, cert, node_limit=None):
+        """The claim that the search finds ``accept``ed class counts at each
+        of ``sizes``, and that the certificate is an independence model of
+        ``size`` elements, isomorphic to a model found there when that size
+        is searched; None when a node budget cuts a search.  The models of
+        every finished search join the lemma population."""
+        def fn():
+            rows, found = [], {}
+            for n in sizes:
+                res, skipped = _independence_search(n, system, target, node_limit), None
+                if res is None:
+                    res = SearchResult([], 0, 0, True, 0)
+                    skipped = "not a power of two: no Boolean skeleton"
+                rows.append({"size": n, "models": res.iso_class_count,
+                             "labeled": res.labeled_count,
+                             "exhaustive": res.exhaustive, "skipped": skipped,
+                             "nodes": res.nodes_explored, "rechecks": res.rechecks})
+                found[n] = res.models
+                if res.exhaustive:
+                    population.extend((f"search.{cert}-size{n}.{i}", m)
+                                      for i, m in enumerate(res.models))
+            a = models[cert]
+            certified = (a.size == size and
+                         _independence_evidence(verdict, a, system, target)[0] and
+                         (size not in found or
+                          any(find_isomorphism(m, a) for m in found[size])))
+            ev = {"sizes": rows, "certificate": cert, "certified": certified}
+            if not all(row["exhaustive"] for row in rows):
+                ev["resource_abort"] = True
+                return None, ev
+            return certified and all(accept(row["models"]) for row in rows), ev
+        return fn
+
+    def no_model(k): return k == 0
+    def one_class(k): return k == 1
+    def some_model(k): return k >= 1
+
+    for cid, target, system, size, cert in [
         ("paper.s6.r2-minimality", "R2", TARSKI, 3, "a2"),
         ("paper.s7.r4-minimality", "R4", TARSKI, 8, "a4"),
         ("paper.s9.r7-minimality", "R7", TARSKI, 4, "a7"),
         ("paper.s11.r9-minimality", "R9", TARSKI, 8, "a9"),
         ("paper.s14.r9-minimality-rsys", "R9", R_SYS, 8, "b9"),
-    ]
-    for cid, target, system, size, cert in minimality_jobs:
-        def fn(target=target, system=system, size=size, cert=cert):
-            rep = verify_minimality(target, system, size)
-            rep.certified = (models[cert].size == size and _independence_evidence(
-                verdict, models[cert], system, target)[0])
-            ev = {
-                "sizes": [
-                    {"size": o.size, "models": o.model_count,
-                     "exhaustive": o.exhaustive, "skipped": o.skipped_reason,
-                     "nodes": o.nodes}
-                    for o in rep.outcomes
-                ],
-                "certificate": cert,
-                "certified": rep.certified,
-            }
-            return rep.confirmed, ev
+    ]:
         sysname = "tarski" if system is TARSKI else "the reduced system"
         run(cid, f"no independence model for {target} below size {size} ({sysname})",
-            "minimality", fn)
-
-    # (h) uniqueness, plus the size-4 positive search for R7
-    population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
-
-    def at_size(size, system, target, certificate, exactly_one, node_limit=None):
-        """The claim that ``size`` has exactly one (else at least one) class
-        of independence models of ``target`` within ``system``, and one
-        isomorphic to ``certificate``; None when the node budget cuts the
-        search.  The models of a finished search join the lemma population."""
-        def fn():
-            res = _independence_search(size, system, target, node_limit)
-            ev = _search_result_evidence(res)
-            if not res.exhaustive:
-                ev["resource_abort"] = True
-                return None, ev
-            population.extend((f"search.{certificate}-size{size}.{i}", m)
-                              for i, m in enumerate(res.models))
-            ev["matches_certificate"] = any(
-                find_isomorphism(m, models[certificate]) for m in res.models)
-            ok = res.iso_class_count == 1 if exactly_one else res.iso_class_count >= 1
-            return ok and ev["matches_certificate"], ev
-        return fn
+            "minimality",
+            search_claim(system, target, size, range(1, size), no_model, cert))
 
     run("paper.s6.r2-uniqueness-size3",
         "exactly one size-3 independence model for R2, isomorphic to a2",
-        "uniqueness", at_size(3, TARSKI, "R2", "a2", True))
+        "uniqueness", search_claim(TARSKI, "R2", 3, [3], one_class, "a2"))
     run("paper.s9.r7-size4-search",
         "size-4 search finds an independence model for R7 isomorphic to a7",
-        "uniqueness", at_size(4, TARSKI, "R7", "a7", False))
+        "uniqueness", search_claim(TARSKI, "R7", 4, [4], some_model, "a7"))
     long_jobs = [
         ("paper.s11.r9-uniqueness-size8",
          "exactly one size-8 independence model for R9 (full system)",
-         at_size(8, TARSKI, "R9", "a9", True, long_node_limit)),
+         search_claim(TARSKI, "R9", 8, [8], one_class, "a9", long_node_limit)),
         ("paper.s14.r9-uniqueness-size8-rsys",
          "exactly one size-8 independence model for R9 (reduced system)",
-         at_size(8, R_SYS, "R9", "b9", True, long_node_limit)),
+         search_claim(R_SYS, "R9", 8, [8], one_class, "b9", long_node_limit)),
     ]
     for cid, desc, fn in long_jobs:
         if include_long_running:

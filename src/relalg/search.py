@@ -58,13 +58,13 @@ cross-check the backtracking engine at tiny sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
                       make_algebra)
-from .axioms import axiom_sentence, is_independence_model
+from .axioms import axiom_sentence
 from .terms import (Add, Biconditional, Comp, Conv, Equation, IdentConst,
                     Inclusion, Meet, Neg, OneConst, QuasiEquation, Sentence,
                     Var, ZeroConst, check_validity, free_vars)
@@ -674,31 +674,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
     return SearchResult(models, count, iso, True, count)
 
 
-# --- minimality reports -----------------------------------------------------
-
-@dataclass
-class SizeOutcome:
-    size: int
-    model_count: int
-    exhaustive: bool
-    skipped_reason: str | None = None
-    nodes: int = 0
-
-
-@dataclass
-class MinimalityReport:
-    target: str
-    system: tuple[str, ...]
-    claimed_size: int
-    outcomes: list[SizeOutcome] = field(default_factory=list)
-    certified: bool = False
-
-    @property
-    def confirmed(self) -> bool:
-        return self.certified and all(
-            o.model_count == 0 and (o.exhaustive or o.skipped_reason)
-            for o in self.outcomes)
-
+# --- independence searches -------------------------------------------------
 
 def _independence_search(size, system, target, node_limit=None):
     """Search ``size`` for the independence models of ``target`` within
@@ -713,24 +689,3 @@ def _independence_search(size, system, target, node_limit=None):
                       up_to_iso=True, node_limit=node_limit)
     return (boolean_guided_search if guided else search)(spec)
 
-
-def verify_minimality(target: str, system, claimed_size: int,
-                      certificate: FiniteAlgebra | None = None) -> MinimalityReport:
-    """Search every admissible size below ``claimed_size`` for independence
-    models of ``target`` within ``system`` (expecting none) and confirm the
-    certificate algebra at the claimed size."""
-    if claimed_size > 8:
-        raise ValueError("minimality verification limited to claimed size <= 8")
-    report = MinimalityReport(target, tuple(system), claimed_size)
-    for size in range(1, claimed_size):
-        res = _independence_search(size, system, target)
-        if res is None:
-            report.outcomes.append(SizeOutcome(
-                size, 0, True, "not a power of two: no Boolean skeleton"))
-        else:
-            report.outcomes.append(SizeOutcome(
-                size, res.iso_class_count, res.exhaustive, None, res.nodes_explored))
-    if certificate is not None:
-        report.certified = (certificate.size == claimed_size and
-                            is_independence_model(certificate, system, target))
-    return report

@@ -15,9 +15,9 @@ from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
 from relalg.axioms import (R_SYS, S_SYS, TARSKI, axiom_sentence,
                            failing_axioms, satisfies, status_vector)
 from relalg.catalog import build_model, list_models
-from relalg.report import _golden_claims
+from relalg.report import _golden_claims, run_verification_suite
 from relalg.search import (SearchSpec, boolean_guided_search, naive_enumerate,
-                           search, verify_minimality)
+                           search)
 from relalg.terms import holds
 
 
@@ -107,21 +107,23 @@ def test_criterion_05_stated_witnesses():
 
 def test_criterion_06_minimality_searches():
     start = time.perf_counter()
-    jobs = [
-        ("R2", TARSKI, 3, "a2", [1, 2], []),
-        ("R4", TARSKI, 8, "a4", [1, 2, 4], [3, 5, 6, 7]),
-        ("R7", TARSKI, 4, "a7", [1, 2], [3]),
-        ("R9", TARSKI, 8, "a9", [1, 2, 4], [3, 5, 6, 7]),
-        ("R9", R_SYS, 8, "b9", [1, 2, 4], [3, 5, 6, 7]),
-    ]
-    ok = True
-    for target, system, size, cert, searched, excluded in jobs:
-        rep = verify_minimality(target, system, size, build_model(cert))
-        ok = ok and rep.confirmed
-        ok = ok and [o.size for o in rep.outcomes
-                     if o.skipped_reason is None] == searched
-        ok = ok and [o.size for o in rep.outcomes if o.skipped_reason] == excluded
-        ok = ok and all(o.exhaustive for o in rep.outcomes)
+    jobs = {
+        "paper.s6.r2-minimality": ([1, 2], []),
+        "paper.s7.r4-minimality": ([1, 2, 4], [3, 5, 6, 7]),
+        "paper.s9.r7-minimality": ([1, 2], [3]),
+        "paper.s11.r9-minimality": ([1, 2, 4], [3, 5, 6, 7]),
+        "paper.s14.r9-minimality-rsys": ([1, 2, 4], [3, 5, 6, 7]),
+    }
+    claims = [c for c in run_verification_suite().claims
+              if c.kind == "minimality"]
+    ok = sorted(c.claim_id for c in claims) == sorted(jobs)
+    for claim in claims:
+        searched, excluded = jobs[claim.claim_id]
+        sizes = claim.evidence["sizes"]
+        ok = ok and claim.status == "pass" and claim.evidence["certified"]
+        ok = ok and [s["size"] for s in sizes if s["skipped"] is None] == searched
+        ok = ok and [s["size"] for s in sizes if s["skipped"]] == excluded
+        ok = ok and all(s["exhaustive"] and s["models"] == 0 for s in sizes)
     elapsed = time.perf_counter() - start
     _line(6, ok and elapsed < 60.0,
           f"no smaller independence models exist, exhaustively ({elapsed:.2f}s)")

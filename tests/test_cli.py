@@ -186,7 +186,7 @@ class TestCommands:
         assert len(long_claims) == 2
         for claim in long_claims:
             assert claim["status"] == "inconclusive"
-            assert claim["evidence"]["nodes_explored"] == 101
+            assert claim["evidence"]["sizes"][0]["nodes"] == 101
             assert claim["evidence"]["resource_abort"] is True
 
     @pytest.mark.parametrize("argv, message", [

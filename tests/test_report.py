@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -114,10 +115,11 @@ class TestBudgetAborts:
         for cid in LONG_CLAIMS:
             assert by_id[cid].status == "inconclusive"
             assert by_id[cid].evidence["resource_abort"] is True
-            assert by_id[cid].evidence["exhaustive"] is False
-            assert by_id[cid].evidence["nodes_explored"] == 21
-        assert not [c for c in budget_cut_report.claims
-                    if c.status not in ("pass", "inconclusive")]
+            assert by_id[cid].evidence["sizes"][0]["exhaustive"] is False
+            assert by_id[cid].evidence["sizes"][0]["nodes"] == 21
+        # the long budget reaches the size-8 claims alone
+        assert [c.claim_id for c in budget_cut_report.claims
+                if c.status != "pass"] == list(LONG_CLAIMS)
         assert budget_cut_report.overall == "inconclusive"
 
     def test_verify_paper_exits_3(self, budget_cut_report, capsys, monkeypatch):
@@ -128,6 +130,28 @@ class TestBudgetAborts:
         assert f"[INCONCLUSIVE] {LONG_CLAIMS[0]}" in out
         assert cli.main(["verify-paper", "--long", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
+
+    def test_a_cut_search_is_never_a_failure(self, capsys, monkeypatch):
+        # every search without a budget of its own stops after 5 nodes
+        engine = sys.modules["relalg.search"]
+        run = engine._run
+
+        def budgeted(spec, *rest):
+            if spec.node_limit is None:
+                spec = replace(spec, node_limit=5)
+            return run(spec, *rest)
+        monkeypatch.setattr(engine, "_run", budgeted)
+        report = run_verification_suite()
+        cut = [c for c in report.claims if c.kind == "minimality"
+               and not all(s["exhaustive"] for s in c.evidence["sizes"])]
+        assert len(cut) == 5
+        for claim in cut:
+            assert claim.status == "inconclusive"
+            assert claim.evidence["resource_abort"] is True
+        assert not [c for c in report.claims if c.status == "fail"]
+        assert report.overall == "inconclusive"
+        assert cli.main(["verify-paper"]) == 3
+        assert "[INCONCLUSIVE] paper.s6.r2-minimality" in capsys.readouterr().out
 
 
 class TestAtSizeClaims:
@@ -150,11 +174,11 @@ class TestAtSizeClaims:
         by_id = {c.claim_id: c for c in report.claims}
         tarski, rsys = (by_id[cid] for cid in LONG_CLAIMS)
         assert tarski.status == "pass"
-        assert tarski.evidence["matches_certificate"] is True
+        assert tarski.evidence["certified"] is True
         # not exactly one class, though one of them is the certificate's
         assert rsys.status == "fail"
-        assert rsys.evidence["iso_class_count"] == 2
-        assert rsys.evidence["matches_certificate"] is True
+        assert rsys.evidence["sizes"][0]["models"] == 2
+        assert rsys.evidence["certified"] is True
         # the three models of the finished searches join the lemma
         # population; those of the searches the budget cut do not
         lemma = "paper.s13.implies-r7"
@@ -177,6 +201,14 @@ class TestSuiteSmoke:
         ids = [c.claim_id for c in report.claims]
         assert ids == sorted(ids)
         json.dumps(report.to_dict())
+
+    def test_evidence_node_total(self):
+        # every search claim records its searches as "sizes" rows, so each
+        # search's nodes are counted once
+        report = run_verification_suite()
+        assert sum(row["nodes"] for c in report.claims
+                   for row in c.evidence.get("sizes", ())) == 3831
+        assert not [c for c in report.claims if "nodes_explored" in c.evidence]
 
 
 class TestVerdictTable:

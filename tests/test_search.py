@@ -13,8 +13,7 @@ from relalg.axioms import (AXIOM_TEXT, R_SYS, S_SYS, TARSKI, axiom_sentence,
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.report import run_verification_suite
 from relalg.search import (SearchSpec, _checker, _compile, _layout,
-                           boolean_guided_search, naive_enumerate, search,
-                           verify_minimality)
+                           boolean_guided_search, naive_enumerate, search)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -852,7 +851,7 @@ class TestBooleanGuidedSearch:
         res = boolean_guided_search(spec)
         assert res.labeled_count == 0 and res.exhaustive
 
-    def test_labeled_count_matches_naive_at_size_two(self):
+    def test_labeled_count_matches_naive_for_size_two(self):
         # guided search fixes the Boolean part, but the orbit-sum labeled
         # count must still equal the raw labeled count over all structures
         spec = SearchSpec(2, _axioms(("R1", "R2", "R3")), _axioms(("R10",)),
@@ -870,7 +869,7 @@ class TestBooleanGuidedSearch:
         assert guided.iso_class_count == 1
         assert len(guided.models) == 1  # only the bitmask labeling
 
-    def test_finds_a7_at_size_four(self):
+    def test_finds_a7_in_size_four(self):
         res, *_ = _run_pinned("tarski-r7-size4")
         assert res.exhaustive
         assert res.iso_class_count >= 1
@@ -886,12 +885,17 @@ class TestUniquenessAtSizeThree:
         assert res.labeled_count == 6  # no symmetry: all 3! relabelings
 
 
+def _suite_claims():
+    return {c.claim_id: c for c in run_verification_suite().claims}
+
+
 class TestMinimality:
     def test_r2_below_three(self):
-        rep = verify_minimality("R2", TARSKI, 3, a2())
-        assert rep.confirmed
-        assert [o.size for o in rep.outcomes] == [1, 2]
-        assert all(o.model_count == 0 and o.exhaustive for o in rep.outcomes)
+        claim = _suite_claims()["paper.s6.r2-minimality"]
+        assert claim.status == "pass"
+        sizes = claim.evidence["sizes"]
+        assert [s["size"] for s in sizes] == [1, 2]
+        assert all(s["models"] == 0 and s["exhaustive"] for s in sizes)
 
     def test_r9_below_eight_skips_non_powers(self, monkeypatch):
         # each search gets the budget the size-4 one needs, 451 nodes, so
@@ -900,24 +904,20 @@ class TestMinimality:
         guided = engine.boolean_guided_search
         monkeypatch.setattr(engine, "boolean_guided_search",
                             lambda spec: guided(replace(spec, node_limit=451)))
-        rep = verify_minimality("R9", TARSKI, 8, build_model("a9"))
-        searched = [o.size for o in rep.outcomes if o.skipped_reason is None]
-        skipped = [o.size for o in rep.outcomes if o.skipped_reason]
-        assert searched == [1, 2, 4]
-        assert skipped == [3, 5, 6, 7]
-        assert rep.confirmed
+        claim = _suite_claims()["paper.s11.r9-minimality"]
+        sizes = claim.evidence["sizes"]
+        assert [s["size"] for s in sizes if s["skipped"] is None] == [1, 2, 4]
+        assert [s["size"] for s in sizes if s["skipped"]] == [3, 5, 6, 7]
+        assert claim.status == "pass"
 
-    def test_certificate_required_for_confirmation(self):
-        rep = verify_minimality("R2", TARSKI, 3)
-        assert not rep.confirmed  # no certificate provided
-
-    def test_wrong_certificate(self):
-        rep = verify_minimality("R2", TARSKI, 3, build_model("m3"))
-        assert not rep.certified
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            verify_minimality("R2", TARSKI, 9)
+    def test_wrong_certificate(self, monkeypatch):
+        suite = sys.modules["relalg.report"]
+        build = suite.build_model
+        monkeypatch.setattr(suite, "build_model",
+                            lambda mid: build("m3" if mid == "a2" else mid))
+        claim = _suite_claims()["paper.s6.r2-minimality"]
+        assert claim.status == "fail"
+        assert claim.evidence["certified"] is False
 
 
 @pytest.mark.skipif(os.environ.get("RELALG_LONG") != "1",
