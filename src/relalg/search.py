@@ -51,8 +51,10 @@ at its cell keeps only the least identity of each orbit.  The lex-least
 labeling of every isomorphism class survives, so the counts, which come
 from canonical forms, do not change.
 
-``naive_enumerate`` is an independent brute-force oracle used to
-cross-check the backtracking engine at tiny sizes.
+Two references cross-check the engine at tiny sizes: ``naive_enumerate``
+shares nothing with it, and a run with ``propagate=False`` shares ``_run``'s
+DFS, the derived cells and lex-leader, but no checker.  Both keep a table
+only if ``check_validity`` finds it a model (``_is_model``).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class SearchSpec:
     must_fail: tuple[Sentence, ...] = ()
     up_to_iso: bool = False
     node_limit: int | None = None
-    propagate: bool = True
+    propagate: bool = True  # False: the reference run, which compiles nothing
 
     def __post_init__(self):
         if self.size < 1:
@@ -246,7 +248,7 @@ def _checker(s: Sentence, n: int, preset: tuple):
 class _Engine:
     """Backtracking over a fixed variable order with watch-list propagation."""
 
-    def __init__(self, n, must_hold, must_fail, propagate=True):
+    def __init__(self, n, must_hold, must_fail):
         self.n = n
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
@@ -255,7 +257,6 @@ class _Engine:
         self.watch: list[dict] = [{} for _ in range(self.total)]
         self.sink: list[dict] = [{}] * self.total  # what must-fail checkers watch
         self.stamp = 0  # counts the propagation steps
-        self.propagate = propagate
         self.must_hold = must_hold
         self.must_fail = must_fail
         # must-hold instance i: its checker and the values of its variables,
@@ -319,15 +320,6 @@ class _Engine:
                          for s in self.must_fail]
         return ok
 
-    def evaluate(self):
-        """Evaluate every instance at its current version; False at the first
-        violated one.  Run at each leaf of a search without propagation."""
-        cells, watch, version = self.cells, self.watch, self.version
-        for inst, (check, values) in enumerate(zip(self.checks, self.values)):
-            if check(cells, watch, inst, version[inst], *values) is False:
-                return False
-        return True
-
     def refute(self, resume):
         """Scan each must-fail sentence's instances from its index in
         ``resume``: past each that holds, up to the first undecided one, or
@@ -383,8 +375,6 @@ class _Engine:
                     self.cells[target] = acc
                     trail.append(target)
                     queue.append(target)
-        if not self.propagate:
-            return True
         cells, watch = self.cells, self.watch
         checks, values, version = self.checks, self.values, self.version
         self.stamp = stamp = self.stamp + 1
@@ -450,8 +440,8 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     tree: ``eng.refute`` scans on from it and cuts the branch once a
     sentence holds on every instance, since every table below would
     satisfy it; at a leaf, where every cell is decided, the same scan is
-    the must-fail verdict.  Without propagation it runs at leaves only,
-    after the must-hold instances are evaluated there.
+    the must-fail verdict.  Without propagation nothing is primed or
+    scanned, and a leaf is kept only if ``_is_model`` accepts it.
 
     Both counts come from the leaves' canonical forms: iso_class_count is
     the number of distinct forms and labeled_count the orbit sum n!/|Aut|
@@ -480,16 +470,16 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     nodes = cuts = 0
     exhausted = True
 
-    if not eng.prime():
+    if spec.propagate and not eng.prime():
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
                             instances=len(eng.checks))
 
     def accept(resume):
-        if not eng.propagate and not eng.evaluate():
-            return
         if eng.refute(resume) is None:
             return
         alg = eng.snapshot()
+        if not (spec.propagate or _is_model(alg, spec)):
+            return
         seen_forms.setdefault(canonical_form(alg), alg)
         if not spec.up_to_iso:
             models.append(alg)
@@ -526,10 +516,9 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
         if depth == len(variables):
             accept(resume)
             return
-        if eng.propagate:
-            resume = eng.refute(resume)
-            if resume is None:
-                return
+        resume = eng.refute(resume)
+        if resume is None:
+            return
         cell = variables[depth]
         for value in range(n):
             trail: list[int] = []
@@ -564,7 +553,7 @@ def search(spec: SearchSpec) -> SearchResult:
     add cell onto a derived one, but it maps commutative tables to
     commutative tables, which is what lex-leader needs of it."""
     n = spec.size
-    eng = _Engine(n, spec.must_hold, spec.must_fail, spec.propagate)
+    eng = _Engine(n, spec.must_hold, spec.must_fail)
     if axiom_sentence("R1") in spec.must_hold:
         for i in range(n):
             for j in range(i + 1, n):
@@ -619,7 +608,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     if n & (n - 1):
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
 
-    eng = _Engine(n, spec.must_hold, spec.must_fail, spec.propagate)
+    eng = _Engine(n, spec.must_hold, spec.must_fail)
     for i in range(n):
         eng.cells[eng.neg0 + i] = i ^ (n - 1)
         for j in range(n):
@@ -648,10 +637,20 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     return _run(spec, eng, _atom_relabelings(n))
 
 
+def _is_model(alg: FiniteAlgebra, spec: SearchSpec) -> bool:
+    """Whether ``check_validity`` finds every must-hold sentence of ``spec``
+    true in ``alg`` and every must-fail sentence false."""
+    return (all(check_validity(alg, s) is None for s in spec.must_hold)
+            and all(check_validity(alg, s) is not None for s in spec.must_fail))
+
+
 def naive_enumerate(spec: SearchSpec) -> SearchResult:
     """Brute-force oracle: materialize every labeled structure of the given
-    size and test the sentences directly.  Only sane for size <= 2."""
+    size and test the sentences directly.  Sizes above 2 are refused: size
+    3 alone has 3^25 structures."""
     n = spec.size
+    if n > 2:
+        raise ValueError("naive_enumerate limited to size <= 2")
     count = 0
     models = []
     vectors = list(product(range(n), repeat=n))
@@ -662,14 +661,9 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
                 for conv in vectors:
                     for ident in range(n):
                         alg = make_algebra(n, add, neg, comp, conv, ident)
-                        if any(check_validity(alg, s) is not None
-                               for s in spec.must_hold):
-                            continue
-                        if any(check_validity(alg, s) is None
-                               for s in spec.must_fail):
-                            continue
-                        count += 1
-                        models.append(alg)
+                        if _is_model(alg, spec):
+                            count += 1
+                            models.append(alg)
     iso = len({canonical_form(m) for m in models})
     return SearchResult(models, count, iso, True, count)
 

@@ -61,6 +61,8 @@ class TestEngineBasics:
         for limit in (0, -5):
             with pytest.raises(ValueError):
                 SearchSpec(2, (), node_limit=limit)
+        with pytest.raises(ValueError):
+            naive_enumerate(SearchSpec(3, ()))
 
 
 class TestOracleCrossChecks:
@@ -102,6 +104,9 @@ GUIDED_ORACLE_SPECS = [
     SearchSpec(2, _axioms(("R1", "R2", "R3", "R4", "R8", "R9", "R11p", "monL"))),
     SearchSpec(2, _axioms(("R1", "R2", "R3", "R6")), _axioms(("R5",)),
                up_to_iso=True),
+    # false on the preset Boolean part: the propagating run stops at the
+    # root, the reference walks its whole tree
+    SearchSpec(2, _axioms(("R1", "R2", "R3")) + (parse_sentence("r+s = r"),)),
 ]
 
 
@@ -115,6 +120,32 @@ class TestGuidedOracleCrossChecks:
         assert on.labeled_count == off.labeled_count
         assert on.iso_class_count == off.iso_class_count
         assert off.rechecks == 0
+
+
+@pytest.mark.parametrize("runner, spec, broken", [
+    (search, ORACLE_SPECS[1], "R3"),
+    (boolean_guided_search, GUIDED_ORACLE_SPECS[0], "R10")])
+def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
+                                                 monkeypatch, cold_cache):
+    # a checker that reads one sentence's False as True breaks the
+    # propagating run; the reference compiles nothing, so it still agrees
+    # with the brute-force oracle
+    engine = sys.modules["relalg.search"]
+    compile_ = engine._compile
+
+    def breaking(s, *args):
+        check = compile_(s, *args)
+
+        def broken_check(*a):
+            held = check(*a)
+            return True if held is False else held
+        return broken_check if s == axiom_sentence(broken) else check
+    monkeypatch.setattr(engine, "_compile", breaking)
+    naive = naive_enumerate(spec).labeled_count
+    assert runner(spec).labeled_count != naive
+    off = runner(replace(spec, propagate=False))
+    assert off.labeled_count == naive
+    assert off.instances == 0
 
 
 def _search8_spec():
@@ -283,7 +314,8 @@ class TestCompiledChecker:
           if name not in ("mixed-r4-size4", "rsys-r9-symmetric-size8")),
         (boolean_guided_search, replace(_search8_spec(), must_fail=())),
         *((search, spec) for spec in ORACLE_SPECS),
-        *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS)])
+        # the last guided row is violated at the root and reaches no leaf
+        *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS[:-1])])
     def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
         # a propagating search checks nothing at a leaf, so its watchers
         # must already have seen every instance hold on the leaf's cells
@@ -793,10 +825,11 @@ class TestMustFailSemantics:
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_refuting_early_matches_refuting_at_leaves(self, name,
                                                        monkeypatch):
-        # without propagation the scan runs at leaves only, but no pinned
-        # spec finishes without propagation; so the reference here
-        # propagates and holds the scan to leaves, where every cell is
-        # decided, and must keep the same classes on a tree no smaller
+        # without propagation no scan runs and check_validity filters each
+        # leaf, but no pinned spec finishes without propagation; so the
+        # reference here propagates and holds the scan to leaves, where
+        # every cell is decided, and must keep the same classes on a tree
+        # no smaller
         early, *_ = _run_pinned(name)
         runner, spec, *_ = PINNED_COUNTS[name]
         engine = sys.modules["relalg.search"]
