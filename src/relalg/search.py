@@ -13,14 +13,16 @@ Each sentence is compiled into a straight-line function over the flat
 cell array (``_compile``); regions preset before the search, such as the
 guided search's Boolean part, are read as constants and never watched.
 An instance, that function with one tuple of element values, is an
-integer id into the engine's parallel lists; it is re-checked whenever a
+integer id into the plan's parallel lists; it is re-checked whenever a
 cell it last read changes, and a violated instance cuts the branch; the
 checker re-subscribes it in place to each cell as it reads it, so a
-recheck allocates nothing.  The root state is computed once per process
-for each sentence, size and preset cells (``_checker``): the checker, its
-instances evaluated once on the preset cells, less those that hold there
-and read no other cell, and the cells each kept instance subscribed to.
-A search lays it out and evaluates nothing before its first decision.
+recheck allocates nothing.  A search's plan (``_Plan``) is built once per
+process for each spec: its preset cells, derived rules, decision order,
+relabelings and root state, the instances of each sentence's cached checker
+(``_checker``) evaluated once on the preset cells, less those that hold
+there and read no other cell, each subscribed to the cells it read.  A run
+starts from a copy of its cells and watch dicts and evaluates nothing
+before its first decision.
 A step rechecks each instance at most once: it subscribes with the step's
 stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
@@ -60,7 +62,7 @@ only if ``check_validity`` finds it a model (``_is_model``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import permutations, product
 
@@ -82,6 +84,9 @@ class SearchSpec:
     propagate: bool = True  # False: the reference run, which compiles nothing
 
     def __post_init__(self):
+        # tuples, so that every spec is hashable, as a plan key must be
+        object.__setattr__(self, "must_hold", tuple(self.must_hold))
+        object.__setattr__(self, "must_fail", tuple(self.must_fail))
         if self.size < 1:
             raise ValueError("size must be at least 1")
         if self.size > 8:
@@ -216,8 +221,8 @@ def _compile(s: Sentence, n: int, names, folded):
 
 @cache
 def _checker(s: Sentence, n: int, preset: tuple):
-    """``s`` compiled at size ``n`` and evaluated once on ``preset``, an
-    engine's cells before its search.  Returns the checker, which reads
+    """``s`` compiled at size ``n`` and evaluated once on ``preset``, a
+    plan's preset cells.  Returns the checker, which reads
     the regions that ``preset`` fully decides as constants; whether some
     instance is violated; the values of its instances, every assignment of
     elements to its free variables in order, less those that hold and
@@ -245,31 +250,50 @@ def _checker(s: Sentence, n: int, preset: tuple):
             watchers)
 
 
-class _Engine:
-    """Backtracking over a fixed variable order with watch-list propagation."""
+class _Plan:
+    """What every search of one spec shares, built once per process for each
+    spec, less its node budget, and runner's ``rules`` (``_plan``), and
+    never changed after: the preset cells and derived rules ``rules`` sets,
+    the decision order, its relabelings' image sources over that order, and
+    the root state: the must-hold instances ``_checker`` keeps, as ids into
+    parallel lists, each subscribed at version 0 to the cells it read, in id
+    order, as evaluating them in turn would; the kept must-fail instances;
+    and whether something is already violated.  Without propagation the
+    root state is empty and nothing is compiled."""
 
-    def __init__(self, n, must_hold, must_fail):
-        self.n = n
+    def __init__(self, spec, rules):
+        n = self.n = spec.size
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
         self.cells: list[int | None] = [None] * self.total
-        # watch[c]: instance -> stamp of the subscription that read cell c
-        self.watch: list[dict] = [{} for _ in range(self.total)]
-        self.sink: list[dict] = [{}] * self.total  # what must-fail checkers watch
-        self.stamp = 0  # counts the propagation steps
-        self.must_hold = must_hold
-        self.must_fail = must_fail
-        # must-hold instance i: its checker and the values of its variables,
-        # the version of its subscriptions (the stamp of the step that last
-        # rechecked it, 0 before any) and its sentence's index in must_hold
-        self.checks, self.values, self.version, self.owner = [], [], [], []
-        # per must-fail sentence: its checker and the values of its instances
-        self.refuters: list[tuple] = []
-        self.rechecks = 0
-        self.refuted = 0  # scans that found a must-fail sentence holding
-        self.conflicts = [0] * len(must_hold)  # failed steps per sentence
         # derived_by_dep[d]: the (target, deps) with d in deps; target = OR of deps
         self.derived_by_dep: dict[int, list] = {}
+        symmetries = rules(self, spec)
+        self.variables = self.decision_cells()
+        # per relabeling: (image sources, value map, next position), for lex_leader
+        self.tied = tuple((tuple(src[v] for v in self.variables), vmap, 0)
+                          for src, vmap in symmetries) if spec.up_to_iso else ()
+        # must-hold instance i: its checker, the values of its variables and
+        # its sentence's index in must_hold
+        self.checks, self.values, self.owner = [], [], []
+        # watch[c]: instance -> stamp of the subscription that read cell c
+        self.watch: list[dict] = [{} for _ in range(self.total)]
+        # per must-fail sentence: its checker and the values of its instances
+        self.refuters: list[tuple] = []
+        self.violated = False
+        if not spec.propagate:
+            return
+        preset = tuple(self.cells)
+        for i, s in enumerate(spec.must_hold):
+            check, violated, values, watchers = _checker(s, n, preset)
+            base = len(self.checks)
+            self.checks += [check] * len(values)
+            self.values += values
+            self.owner += [i] * len(values)
+            for c, positions in watchers:
+                self.watch[c].update((base + j, 0) for j in positions)
+            self.violated = self.violated or violated
+        self.refuters = [_checker(s, n, preset)[::2] for s in spec.must_fail]
 
     def add_derived(self, target, deps):
         spec = (target, tuple(deps))
@@ -296,29 +320,30 @@ class _Engine:
             free = [c for c in free if c < comp0] + comp
         return free
 
-    def prime(self):
-        """Lay out the root state ``_checker`` caches for the cells preset
-        before the search: the must-hold instances it keeps, as ids into the
-        parallel lists, each subscribed at version 0 to the cells it read,
-        in id order, as evaluating them in turn would subscribe them; and
-        the kept must-fail instances.  Evaluates nothing.  Returns False
-        if something is already violated."""
-        preset, watch = tuple(self.cells), self.watch
-        ok = True
-        for i, s in enumerate(self.must_hold):
-            check, violated, values, watchers = _checker(s, self.n, preset)
-            base = len(self.checks)
-            self.checks += [check] * len(values)
-            self.values += values
-            self.owner += [i] * len(values)
-            for c, positions in watchers:
-                watch[c].update((base + j, 0) for j in positions)
-            ok = ok and not violated
-        self.version = [0] * len(self.checks)
-        # the checker and kept values of each must-fail sentence
-        self.refuters = [_checker(s, self.n, preset)[::2]
-                         for s in self.must_fail]
-        return ok
+
+# the plan of each (spec without a node budget, rules), built on first use
+_plan = cache(_Plan)
+
+
+class _Engine:
+    """One search's state, copied from its plan: the cells, each cell's
+    watch dict and every instance's version at 0, and zeroed counters; the
+    rest is the plan's, read-only.  Backtracking over the plan's decision
+    order with watch-list propagation."""
+
+    def __init__(self, plan: _Plan, sentences: int):
+        self.plan = plan
+        self.cells = list(plan.cells)
+        self.watch = [w.copy() for w in plan.watch]
+        # per must-hold instance: the stamp of the step that last rechecked it
+        self.version = [0] * len(plan.checks)
+        self.checks, self.values, self.owner = plan.checks, plan.values, plan.owner
+        self.refuters, self.derived_by_dep = plan.refuters, plan.derived_by_dep
+        self.sink: list[dict] = [{}] * plan.total  # what must-fail checkers watch
+        self.stamp = 0  # counts the propagation steps
+        self.rechecks = 0
+        self.refuted = 0  # scans that found a must-fail sentence holding
+        self.conflicts = [0] * sentences  # failed steps per must-hold sentence
 
     def refute(self, resume):
         """Scan each must-fail sentence's instances from its index in
@@ -422,25 +447,26 @@ class _Engine:
             self.cells[c] = None
 
     def snapshot(self) -> FiniteAlgebra:
-        n = self.n
-        cells = self.cells
-        add = [[cells[self.add0 + i * n + j] for j in range(n)] for i in range(n)]
-        comp = [[cells[self.comp0 + i * n + j] for j in range(n)] for i in range(n)]
-        neg = [cells[self.neg0 + i] for i in range(n)]
-        conv = [cells[self.conv0 + i] for i in range(n)]
-        return make_algebra(n, add, neg, comp, conv, cells[self.ident_cell])
+        p, cells = self.plan, self.cells
+        n = p.n
+        add = [[cells[p.add0 + i * n + j] for j in range(n)] for i in range(n)]
+        comp = [[cells[p.comp0 + i * n + j] for j in range(n)] for i in range(n)]
+        neg = [cells[p.neg0 + i] for i in range(n)]
+        conv = [cells[p.conv0 + i] for i in range(n)]
+        return make_algebra(n, add, neg, comp, conv, cells[p.ident_cell])
 
 
-def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
-    """DFS over the engine's decision cells, each over every element;
-    collect complete tables that satisfy must_hold and falsify every
+def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
+    """DFS over the plan's decision cells, each over every element, from a
+    fresh copy of its root state (``_Engine``), which leaves the plan as it
+    was; collect complete tables that satisfy must_hold and falsify every
     must_fail sentence.
 
     Each node carries one resume index per must-fail sentence down the
     tree: ``eng.refute`` scans on from it and cuts the branch once a
     sentence holds on every instance, since every table below would
     satisfy it; at a leaf, where every cell is decided, the same scan is
-    the must-fail verdict.  Without propagation nothing is primed or
+    the must-fail verdict.  Without propagation nothing is laid out or
     scanned, and a leaf is kept only if ``_is_model`` accepts it.
 
     Both counts come from the leaves' canonical forms: iso_class_count is
@@ -449,30 +475,27 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
     part of the tables (a run cut short by its node budget counts the
     classes it reached).
 
-    With ``up_to_iso``, ``symmetries`` (pairs from ``_relabeling``) must
-    each keep the preset cells and map every table that satisfies the
-    engine's derivation rules to one that satisfies them too; a derived
-    cell may be carried onto a decided one.  The derived cells are
-    functions of the decided ones, so the decided cells, read in decision
-    order, order the tables of the search, and every image of one of them
-    is one of them.  A branch is cut at the first decided position where a
-    variable is larger than its image; so the lex-least labeling of every
-    class, which is never larger than an image, is kept, and at the
-    identity cell, decided first, only the least identity of each orbit
-    survives.  A labeled run drops them, since it must reach every
-    labeling."""
+    With ``up_to_iso`` the plan's relabelings must each keep the preset
+    cells and map every table that satisfies its derivation rules to one
+    that satisfies them too; a derived cell may be carried onto a decided
+    one.  The derived cells are functions of the decided ones, so the
+    decided cells, read in decision order, order the tables of the search,
+    and every image of one of them is one of them.  A branch is cut at the
+    first decided position where a variable is larger than its image; so
+    the lex-least labeling of every class, which is never larger than an
+    image, is kept, and at the identity cell, decided first, only the least
+    identity of each orbit survives.  A labeled run has none, since it must
+    reach every labeling."""
     n = spec.size
-    variables = eng.decision_cells()
-    if not spec.up_to_iso:
-        symmetries = ()
+    if plan.violated:
+        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
+                            instances=len(plan.checks))
+    eng = _Engine(plan, len(spec.must_hold))
+    variables = plan.variables
     models: list[FiniteAlgebra] = []
     seen_forms: dict[bytes, FiniteAlgebra] = {}
     nodes = cuts = 0
     exhausted = True
-
-    if spec.propagate and not eng.prime():
-        return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
-                            instances=len(eng.checks))
 
     def accept(resume):
         if eng.refute(resume) is None:
@@ -532,15 +555,14 @@ def _run(spec: SearchSpec, eng: _Engine, symmetries) -> SearchResult:
             if not exhausted:
                 return
 
-    dfs(0, [([src[v] for v in variables], vmap, 0) for src, vmap in symmetries],
-        [0] * len(spec.must_fail))
+    dfs(0, plan.tied, [0] * len(spec.must_fail))
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
                         eng.rechecks, tuple(eng.conflicts), cuts,
-                        eng.refuted, len(eng.checks))
+                        eng.refuted, len(plan.checks))
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -552,33 +574,19 @@ def search(spec: SearchSpec) -> SearchResult:
     deduplicated by canonical form.  A transposition may carry a decided
     add cell onto a derived one, but it maps commutative tables to
     commutative tables, which is what lex-leader needs of it."""
+    return _run(spec, _plan(replace(spec, node_limit=None), _generic_rules))
+
+
+def _generic_rules(plan: _Plan, spec: SearchSpec):
+    """R1's copies, with no cell preset; returns the relabelings by the
+    adjacent transpositions of the elements."""
     n = spec.size
-    eng = _Engine(n, spec.must_hold, spec.must_fail)
     if axiom_sentence("R1") in spec.must_hold:
         for i in range(n):
             for j in range(i + 1, n):
-                eng.add_derived(eng.add0 + j * n + i, [eng.add0 + i * n + j])
-    return _run(spec, eng, _swaps(n))
-
-
-@cache
-def _swaps(n):
-    """The relabelings by the adjacent transpositions of the n elements,
-    built once per size; read-only."""
-    return tuple(_relabeling(n, (*range(i), i + 1, i, *range(i + 2, n)))
-                 for i in range(n - 1))
-
-
-@cache
-def _atom_relabelings(n):
-    """The relabelings by the nontrivial permutations of the atoms of the
-    n-element bitmask Boolean algebra, each extended to the elements by OR
-    over atoms: every automorphism of the Boolean part except the identity
-    map.  Built once per size; read-only."""
-    k = (n - 1).bit_length()
-    perms = [[sum(1 << images[b] for b in range(k) if x >> b & 1)
-              for x in range(n)] for images in permutations(range(k))]
-    return tuple(_relabeling(n, p) for p in perms[1:])  # the identity comes first
+                plan.add_derived(plan.add0 + j * n + i, [plan.add0 + i * n + j])
+    return [_relabeling(n, (*range(i), i + 1, i, *range(i + 2, n)))
+            for i in range(n - 1)]
 
 
 def boolean_guided_search(spec: SearchSpec) -> SearchResult:
@@ -607,12 +615,19 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     n = spec.size
     if n & (n - 1):
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
+    return _run(spec, _plan(replace(spec, node_limit=None), _guided_rules))
 
-    eng = _Engine(n, spec.must_hold, spec.must_fail)
+
+def _guided_rules(plan: _Plan, spec: SearchSpec):
+    """The bitmask Boolean part preset and the additive rule; returns the
+    relabelings by the nontrivial permutations of the atoms, each extended
+    to the elements by OR over atoms: every automorphism of the Boolean part
+    except the identity map."""
+    n = spec.size
     for i in range(n):
-        eng.cells[eng.neg0 + i] = i ^ (n - 1)
+        plan.cells[plan.neg0 + i] = i ^ (n - 1)
         for j in range(n):
-            eng.cells[eng.add0 + i * n + j] = i | j
+            plan.cells[plan.add0 + i * n + j] = i | j
     atoms = [1 << b for b in range((n - 1).bit_length())]
 
     def additive(base, step):
@@ -620,21 +635,22 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
         # cells at the atoms of x
         for x in range(n):
             if x & (x - 1):
-                eng.add_derived(base + x * step,
-                                [base + p * step for p in atoms if x & p])
+                plan.add_derived(base + x * step,
+                                 [base + p * step for p in atoms if x & p])
 
     r8 = axiom_sentence("R8") in spec.must_hold
     if r8:
         for j in range(n):  # the rows of each column
-            additive(eng.comp0 + j, n)
+            additive(plan.comp0 + j, n)
     if axiom_sentence("R8p") in spec.must_hold:
         for i in range(n):  # the columns of each row R8 leaves free
             if not (r8 and i & (i - 1)):
-                additive(eng.comp0 + i * n, 1)
+                additive(plan.comp0 + i * n, 1)
     if axiom_sentence("R9") in spec.must_hold:
-        additive(eng.conv0, 1)
-
-    return _run(spec, eng, _atom_relabelings(n))
+        additive(plan.conv0, 1)
+    perms = [[sum(atoms[images[b]] for b, a in enumerate(atoms) if x & a)
+              for x in range(n)] for images in permutations(range(len(atoms)))]
+    return [_relabeling(n, p) for p in perms[1:]]  # the identity comes first
 
 
 def _is_model(alg: FiniteAlgebra, spec: SearchSpec) -> bool:
@@ -655,6 +671,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
     models = []
     vectors = list(product(range(n), repeat=n))
     matrices = list(product(vectors, repeat=n))
+    tables = len(matrices) ** 2 * len(vectors) ** 2 * n  # every one is examined
     for add in matrices:
         for neg in vectors:
             for comp in matrices:
@@ -665,7 +682,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
                             count += 1
                             models.append(alg)
     iso = len({canonical_form(m) for m in models})
-    return SearchResult(models, count, iso, True, count)
+    return SearchResult(models, count, iso, True, tables)
 
 
 # --- independence searches -------------------------------------------------

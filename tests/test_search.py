@@ -12,8 +12,9 @@ from relalg.axioms import (AXIOM_TEXT, R_SYS, S_SYS, TARSKI, axiom_sentence,
                            satisfies)
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.report import run_verification_suite
-from relalg.search import (SearchSpec, _checker, _compile, _layout,
-                           boolean_guided_search, naive_enumerate, search)
+from relalg.search import (SearchSpec, _checker, _compile, _layout, _plan,
+                           _relabeling, boolean_guided_search, naive_enumerate,
+                           search)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -63,6 +64,22 @@ class TestEngineBasics:
                 SearchSpec(2, (), node_limit=limit)
         with pytest.raises(ValueError):
             naive_enumerate(SearchSpec(3, ()))
+
+    def test_spec_keeps_its_sentences_as_tuples(self):
+        # every spec is a plan key, so a list of sentences must hash too
+        held, failed = _axioms(("R1", "R5")), _axioms(("R10",))
+        spec = SearchSpec(2, list(held), list(failed))
+        assert (spec.must_hold, spec.must_fail) == (held, failed)
+        assert hash(spec) == hash(SearchSpec(2, held, failed))
+        assert search(spec) == search(SearchSpec(2, held, failed))
+
+    def test_naive_enumerate_counts_every_table_it_examines(self):
+        # 2^4 add * 2^2 neg * 2^4 comp * 2^2 conv * 2 ident at size 2, one
+        # table at size 1; 136 of the size-2 tables are kept
+        spec = SearchSpec(2, _axioms(("R1", "R2", "R3")), _axioms(("R10",)))
+        res = naive_enumerate(spec)
+        assert (res.nodes_explored, res.labeled_count) == (8192, 136)
+        assert naive_enumerate(replace(spec, size=1)).nodes_explored == 1
 
 
 class TestOracleCrossChecks:
@@ -128,12 +145,13 @@ class TestGuidedOracleCrossChecks:
 def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
                                                  monkeypatch, cold_cache):
     # a checker that reads one sentence's False as True breaks the
-    # propagating run; the reference compiles nothing, so it still agrees
-    # with the brute-force oracle
+    # propagating run; the reference compiles and lays out nothing, so it
+    # still agrees with the brute-force oracle
     engine = sys.modules["relalg.search"]
-    compile_ = engine._compile
+    compile_, compiled = engine._compile, []
 
     def breaking(s, *args):
+        compiled.append(s)
         check = compile_(s, *args)
 
         def broken_check(*a):
@@ -143,9 +161,11 @@ def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
     monkeypatch.setattr(engine, "_compile", breaking)
     naive = naive_enumerate(spec).labeled_count
     assert runner(spec).labeled_count != naive
+    assert compiled
+    compiled.clear()
     off = runner(replace(spec, propagate=False))
     assert off.labeled_count == naive
-    assert off.instances == 0
+    assert off.instances == 0 and compiled == []
 
 
 def _search8_spec():
@@ -194,13 +214,19 @@ EXTRA_SENTENCES = ("r <= s, s <= t -> r <= t", "r.1 = 0 + r",
                    "r;s = 0, 1;r = r -> s.r^ = 0")
 
 
+def _clear_caches():
+    _checker.cache_clear()
+    _plan.cache_clear()
+
+
 @pytest.fixture
 def cold_cache():
-    """An empty checker cache for the test, emptied again after it, so that
-    no checker the test compiled reaches a later test."""
-    _checker.cache_clear()
+    """Empty checker and plan caches for the test, emptied again after it,
+    so that every checker and plan the test uses is built under its
+    patches, and none of them reaches a later test."""
+    _clear_caches()
     yield
-    _checker.cache_clear()
+    _clear_caches()
 
 
 class _Recorder:
@@ -277,20 +303,18 @@ class TestCompiledChecker:
                 assert folded(cells, watch, None, 0, *values) is want, (text, values)
                 assert watch.reads == []
 
-    def test_watch_holds_each_instance_once(self, monkeypatch):
+    def test_watch_holds_each_instance_once(self, monkeypatch, cold_cache):
         # a recheck re-subscribes its instance to every cell it read; the
         # cell must replace the instance's old entry rather than add one.
         # The must-fail scans, which pass no instance, subscribe nowhere in
         # the engine's watch, or a recheck would count their False as a
         # conflict
         engine = sys.modules["relalg.search"]  # relalg.search is the function
-        engines, run = [], engine._run
-        refute, scans = engine._Engine.refute, []
-        monkeypatch.setattr(engine, "_run", lambda spec, eng, *rest:
-                            engines.append(eng) or run(spec, eng, *rest))
+        refute, engines, scans = engine._Engine.refute, set(), []
 
         def spy_refute(eng, resume):
             out = refute(eng, resume)
+            engines.add(eng)
             scans.append(resume)
             assert not any(None in watchers for watchers in eng.watch)
             return out
@@ -316,7 +340,8 @@ class TestCompiledChecker:
         *((search, spec) for spec in ORACLE_SPECS),
         # the last guided row is violated at the root and reaches no leaf
         *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS[:-1])])
-    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
+    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch,
+                                           cold_cache):
         # a propagating search checks nothing at a leaf, so its watchers
         # must already have seen every instance hold on the leaf's cells
         engine = sys.modules["relalg.search"]
@@ -335,9 +360,10 @@ class TestCompiledChecker:
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_each_step_checks_an_instance_once(self, name, monkeypatch,
                                                cold_cache):
-        # after prime() every must-hold check is a recheck in set_cell, none
-        # of them repeated within a step, and a leaf checks no must-hold
-        # instance; the must-fail scans pass no instance and are not counted.
+        # from the plan's root state every must-hold check is a recheck in
+        # set_cell, none of them repeated within a step, and a leaf checks
+        # no must-hold instance; the must-fail scans pass no instance and
+        # are not counted.
         # The cache is cleared around the run, so that every checker is
         # compiled through the counting wrapper and none outlives the test
         engine = sys.modules["relalg.search"]
@@ -372,7 +398,7 @@ class TestCompiledChecker:
         assert res.exhaustive
         assert len(rechecks) == res.rechecks == pinned
 
-    def test_every_read_cell_is_watched(self, monkeypatch):
+    def test_every_read_cell_is_watched(self, monkeypatch, cold_cache):
         # what lets a step stop at its first violated instance: after a
         # successful step and after an undo, every instance is subscribed at
         # its current version to each cell its check reads, including the
@@ -444,24 +470,24 @@ def _counting_compile(monkeypatch):
     return compiled
 
 
-def _unprimed_engine(runner, spec, monkeypatch):
-    """The engine ``runner`` builds for ``spec``, before ``prime``."""
+def _plan_of(runner, spec, monkeypatch):
+    """The plan ``runner`` passes to ``_run`` for ``spec``; nothing runs."""
     engine = sys.modules["relalg.search"]
     built = []
     with monkeypatch.context() as m:
-        m.setattr(engine, "_run", lambda spec, eng, symmetries: built.append(eng))
+        m.setattr(engine, "_run", lambda spec, plan: built.append(plan))
         runner(spec)
-    (eng,) = built
-    return eng
+    (plan,) = built
+    return plan
 
 
-def _every_instance_evaluated(eng, sentences):
+def _every_instance_evaluated(plan, sentences):
     """Every instance of ``sentences`` evaluated once, in turn, on the
-    engine's preset cells, as an engine without the root-state cache would
+    plan's preset cells, as an engine without the root-state cache would
     lay them out, each instance named (sentence index, values): the
     verdict, each cell's watchers in order, and the instances that hold
     and subscribe nowhere."""
-    n, cells = eng.n, eng.cells
+    n, cells = plan.n, plan.cells
     regions = zip(_layout(n)[:-1], (1, n, n, n * n, n * n))
     folded = {base for base, size in regions if None not in cells[base:base + size]}
     watch = [{} for _ in cells]
@@ -493,44 +519,51 @@ class TestCheckerCache:
           for name in sorted(PINNED_COUNTS)),
         pytest.param(*PRESET_VIOLATED, False, id="preset-violated")])
     def test_root_state_matches_evaluating_every_instance(self, runner, spec,
-                                                          verdict, monkeypatch):
-        # prime lays out the cached root state and evaluates nothing; it
-        # must match evaluating every instance: the same verdict, each
-        # cell's watchers in the same order at version 0, and only the
-        # instances that hold and subscribe nowhere dropped
-        eng = _unprimed_engine(runner, spec, monkeypatch)
-        evaluated, watch, free = _every_instance_evaluated(eng, spec.must_hold)
-        assert eng.prime() is evaluated is verdict
-        kept = list(zip(eng.owner, eng.values))
-        assert [[kept[inst] for inst in w] for w in eng.watch] == watch
-        assert all(ver == 0 for w in eng.watch for ver in w.values())
+                                                          verdict, monkeypatch,
+                                                          cold_cache):
+        # the plan lays out the cached root state; it must match evaluating
+        # every instance: the same verdict, each cell's watchers in the same
+        # order at version 0, and only the instances that hold and subscribe
+        # nowhere dropped.  A run starts from a copy of it
+        plan = _plan_of(runner, spec, monkeypatch)
+        evaluated, watch, free = _every_instance_evaluated(plan, spec.must_hold)
+        assert (not plan.violated) is evaluated is verdict
+        kept = list(zip(plan.owner, plan.values))
+        assert [[kept[inst] for inst in w] for w in plan.watch] == watch
+        assert all(ver == 0 for w in plan.watch for ver in w.values())
+        eng = sys.modules["relalg.search"]._Engine(plan, len(spec.must_hold))
+        assert eng.watch == plan.watch and eng.cells == plan.cells
+        assert not any(a is b for a, b in zip(eng.watch, plan.watch))
         assert eng.version == [0] * len(kept)
         every = [(i, values) for i, s in enumerate(spec.must_hold)
                  for values in product(range(spec.size),
                                        repeat=len(free_vars(s)))]
         assert kept == [inst for inst in every if inst not in free]
         # a must-fail instance false on the preset is a witness and is kept
-        for s, (_, values) in zip(spec.must_fail, eng.refuters):
-            _, _, free = _every_instance_evaluated(eng, (s,))
+        for s, (_, values) in zip(spec.must_fail, plan.refuters):
+            _, _, free = _every_instance_evaluated(plan, (s,))
             every = product(range(spec.size), repeat=len(free_vars(s)))
             assert list(values) == [v for v in every if (0, v) not in free]
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_warm_cache_changes_nothing(self, name, monkeypatch, cold_cache):
-        # the same search from a cleared cache, again warm, and again after
-        # a search of its sentences at another size: one result, and the
-        # warm run compiles nothing
+        # the same search from cleared caches, again warm, and again after
+        # a search of its sentences at another size: one result, with the
+        # pinned counts each time, and the warm run compiles nothing and
+        # reuses the plan the cold run built
         compiled = _counting_compile(monkeypatch)
-        cold, *_ = _run_pinned(name)
-        assert compiled
+        cold, *counts = _run_pinned(name)
+        assert compiled and _plan.cache_info().misses == 1
         compiled.clear()
         warm, *_ = _run_pinned(name)
-        assert compiled == []
+        assert compiled == [] and _plan.cache_info()[:2] == (1, 1)
         runner, spec, *_ = PINNED_COUNTS[name]
         runner(replace(spec, size=2))
         after, *_ = _run_pinned(name)
         assert cold.exhaustive
         assert cold == warm == after
+        assert [warm.nodes_explored, warm.rechecks, sum(warm.conflicts),
+                warm.symmetry_cuts, warm.refuted] == counts
         forms = [[canonical_form(m) for m in res.models]
                  for res in (cold, warm, after)]
         assert forms[0] == forms[1] == forms[2]
@@ -549,10 +582,28 @@ class TestCheckerCache:
                                                       base.rechecks)
 
     def test_suite_compiles_each_checker_once(self, monkeypatch, cold_cache):
-        # its searches fetch 147 checkers, 63 of them distinct
+        # its searches fetch 147 checkers, 63 of them distinct; a second
+        # suite reuses every plan and compiles none
         compiled = _counting_compile(monkeypatch)
         run_verification_suite()
         assert len(compiled) == len(set(compiled)) == 63
+        compiled.clear()
+        run_verification_suite()
+        assert compiled == []
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_runs_leave_their_plan_as_built(self, name, monkeypatch,
+                                            cold_cache):
+        # a run changes only its own copy of the root state, so after two
+        # runs the cached plan still equals one built afresh
+        engine = sys.modules["relalg.search"]
+        plan_, keys = engine._plan, []
+        monkeypatch.setattr(engine, "_plan",
+                            lambda *key: keys.append(key) or plan_(*key))
+        _run_pinned(name)
+        _run_pinned(name)
+        assert keys[0] == keys[1] and plan_.cache_info().misses == 1
+        assert vars(plan_(*keys[0])) == vars(engine._Plan(*keys[0]))
 
 
 # specs for the up-to-iso against labeled cross-check: (runner, spec, nodes
@@ -586,25 +637,9 @@ SYMMETRY_ORACLE_SPECS = {
 }
 
 
-def _engine_and_symmetries(runner, spec, monkeypatch):
-    """The engine ``runner`` builds for ``spec`` and the symmetries it
-    passes to ``_run``."""
-    engine = sys.modules["relalg.search"]
-    passed, run = [], engine._run
-    monkeypatch.setattr(engine, "_run", lambda spec, eng, symmetries:
-                        passed.append((eng, symmetries))
-                        or run(spec, eng, symmetries))
-    runner(replace(spec, node_limit=1))
-    (args,) = passed
-    return args
-
-
-def _run_args(runner, spec, monkeypatch):
-    """The engine's decision cells in order and the symmetries ``runner``
-    passes to it for ``spec``, a search up to isomorphism; the run undoes
-    every cell it set, so the engine still has its decision cells."""
-    eng, symmetries = _engine_and_symmetries(runner, spec, monkeypatch)
-    return eng.decision_cells(), symmetries
+def _vmaps(plan):
+    """The value maps of the plan's relabelings, in order."""
+    return [vmap for _, vmap, _ in plan.tied]
 
 
 def _least_identities(runner, n):
@@ -624,10 +659,11 @@ def _root_survivors(runner, spec, monkeypatch):
     set_cell, survivors = engine._Engine.set_cell, []
 
     def spy(eng, cell, value, trail):
-        if cell == eng.ident_cell:
+        ident = eng.plan.ident_cell
+        if cell == ident:
             return set_cell(eng, cell, value, trail)
-        if eng.cells[eng.ident_cell] not in survivors:
-            survivors.append(eng.cells[eng.ident_cell])
+        if eng.cells[ident] not in survivors:
+            survivors.append(eng.cells[ident])
         return False
     with monkeypatch.context() as m:
         m.setattr(engine._Engine, "set_cell", spy)
@@ -662,10 +698,11 @@ class TestDecisionOrder:
         # R9 derives the converse of 3 from those of 1 and 2
         (boolean_guided_search, 4, ("R9",), [0, 5, 6, 7, *range(25, 41)]),
     ])
-    def test_decision_order(self, runner, size, held, order, monkeypatch):
+    def test_decision_order(self, runner, size, held, order, monkeypatch,
+                            cold_cache):
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
-        assert _run_args(runner, spec, monkeypatch)[0] == order
+        assert _plan_of(runner, spec, monkeypatch).variables == order
 
 
 class TestDerivedCells:
@@ -677,7 +714,8 @@ class TestDerivedCells:
         (boolean_guided_search, 4, ("R8", "R8p")),
         (boolean_guided_search, 8, ("R8", "R8p", "R9")),
     ])
-    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch):
+    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch,
+                                        cold_cache):
         # what lex-leader needs of the relabelings: each maps a table that
         # satisfies the rules to one that does too, so the image of a rule
         # is a rule (a copy, with one dependency, read either way; the
@@ -685,8 +723,9 @@ class TestDerivedCells:
         # each derived cell has one rule and follows from the decided cells
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
-        eng, symmetries = _engine_and_symmetries(runner, spec, monkeypatch)
-        rules = {(t, frozenset(deps)) for specs in eng.derived_by_dep.values()
+        plan = _plan_of(runner, spec, monkeypatch)
+        symmetries = [_relabeling(size, vmap) for vmap in _vmaps(plan)]
+        rules = {(t, frozenset(deps)) for specs in plan.derived_by_dep.values()
                  for t, deps in specs}
         targets = {t for t, _ in rules}
         assert symmetries and rules and len(targets) == len(rules)
@@ -695,8 +734,8 @@ class TestDerivedCells:
                 d, *more = deps
                 assert ((src[t], frozenset(src[e] for e in deps)) in rules or
                         not more and (src[d], frozenset({src[t]})) in rules)
-        known = set(eng.decision_cells())
-        known |= {c for c, v in enumerate(eng.cells) if v is not None}
+        known = set(plan.variables)
+        known |= {c for c, v in enumerate(plan.cells) if v is not None}
         assert not known & targets
         while fired := {t for t, deps in rules if t not in known and deps <= known}:
             known |= fired
@@ -705,7 +744,7 @@ class TestDerivedCells:
     @pytest.mark.parametrize("name", ["tarski-minus-r2-size2", "tarski-r2-size3",
                                       "tarski-size4", "rsys-size4",
                                       "ssys-size4", "ssys-r7-size4"])
-    def test_rules_lose_no_model(self, name, monkeypatch):
+    def test_rules_lose_no_model(self, name, monkeypatch, cold_cache):
         # every table that satisfies the held laws satisfies the rules, so
         # a search that decides the derived cells instead finds the same
         # classes, on a larger tree
@@ -713,8 +752,9 @@ class TestDerivedCells:
         spec = replace(spec, up_to_iso=True)
         derived = runner(spec)
         engine = sys.modules["relalg.search"]
-        monkeypatch.setattr(engine._Engine, "add_derived",
-                            lambda eng, target, deps: None)
+        monkeypatch.setattr(engine._Plan, "add_derived",
+                            lambda plan, target, deps: None)
+        _clear_caches()  # the plan with the rules is cached
         decided = runner(spec)
         assert derived.exhaustive and decided.exhaustive
         assert _forms(derived.models) == _forms(decided.models)
@@ -750,36 +790,35 @@ class TestSymmetryBreaking:
 
     @pytest.mark.parametrize("n, fixing", [(1, [0]), (2, [0, 0]),
                                            (4, [1, 0, 1]), (8, [5, 1, 1, 5])])
-    def test_guided_symmetries(self, n, fixing, monkeypatch):
+    def test_guided_symmetries(self, n, fixing, monkeypatch, cold_cache):
         # every Boolean automorphism but the identity map; those fixing a
         # least identity act below it, and the others map it higher, so they
         # drop out at the identity cell without cutting
         spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        _, symmetries = _run_args(boolean_guided_search, spec, monkeypatch)
+        vmaps = _vmaps(_plan_of(boolean_guided_search, spec, monkeypatch))
         least = _least_identities(boolean_guided_search, n)
         top = n - 1
         k = top.bit_length()
-        assert len(symmetries) == math.factorial(k) - 1
-        assert len({vmap for _, vmap in symmetries}) == len(symmetries)
-        for _, vmap in symmetries:
+        assert len(vmaps) == math.factorial(k) - 1
+        assert len(set(vmaps)) == len(vmaps)
+        for vmap in vmaps:
             assert sorted(vmap) == list(range(n)) != list(vmap)
             for x, y in product(range(n), repeat=2):
                 assert vmap[x | y] == vmap[x] | vmap[y]
                 assert vmap[x ^ top] == vmap[x] ^ top
             assert all(vmap[rep] >= rep for rep in least)
-        assert [sum(vmap[rep] == rep for _, vmap in symmetries)
+        assert [sum(vmap[rep] == rep for vmap in vmaps)
                 for rep in least] == fixing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_generic_symmetries(self, n, monkeypatch):
+    def test_generic_symmetries(self, n, monkeypatch, cold_cache):
         # the adjacent transpositions of all the elements: the swap of v - 1
         # and v maps an identity v > 0 lower, and only the swap of 0 and 1
         # moves identity 0
-        _, symmetries = _run_args(search, SearchSpec(n, (), up_to_iso=True),
-                                  monkeypatch)
+        plan = _plan_of(search, SearchSpec(n, (), up_to_iso=True), monkeypatch)
         want = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
                 for i in range(n - 1)]
-        assert [vmap for _, vmap in symmetries] == want
+        assert _vmaps(plan) == want
 
     @pytest.mark.parametrize("runner, n, least", [
         (boolean_guided_search, 1, [0]), (boolean_guided_search, 2, [0, 1]),
@@ -787,7 +826,7 @@ class TestSymmetryBreaking:
         (boolean_guided_search, 8, [0, 1, 3, 7]),
         (search, 1, [0]), (search, 2, [0]), (search, 3, [0])])
     def test_identity_survives_when_least_in_its_orbit(self, runner, n, least,
-                                                       monkeypatch):
+                                                       monkeypatch, cold_cache):
         # R1-R3 read no identity cell, so every identity passes its step and
         # the root comparison alone decides which go on
         assert _least_identities(runner, n) == least
@@ -800,16 +839,19 @@ class TestSymmetryBreaking:
     @pytest.mark.parametrize("runner, model_id", [
         (search, "a2"), (boolean_guided_search, "a9")])
     def test_image_sources_relabel_every_cell(self, runner, model_id,
-                                              monkeypatch):
+                                              monkeypatch, cold_cache):
         # each cell of the relabeled tables is the value map applied to the
-        # cell it is read from
+        # cell it is read from; the plan keeps those of the decision cells
         a = build_model(model_id)
         spec = SearchSpec(a.size, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        _, symmetries = _run_args(runner, spec, monkeypatch)
-        assert symmetries
+        plan = _plan_of(runner, spec, monkeypatch)
+        assert plan.tied
         cells = _cells(a)
-        for src, vmap in symmetries:
-            assert _cells(relabel(a, vmap)) == [vmap[cells[k]] for k in src]
+        for src, vmap, _ in plan.tied:
+            image = _cells(relabel(a, vmap))
+            every, _ = _relabeling(a.size, vmap)
+            assert image == [vmap[cells[k]] for k in every]
+            assert src == tuple(every[v] for v in plan.variables)
 
 
 class TestMustFailSemantics:
@@ -824,7 +866,7 @@ class TestMustFailSemantics:
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_refuting_early_matches_refuting_at_leaves(self, name,
-                                                       monkeypatch):
+                                                       monkeypatch, cold_cache):
         # without propagation no scan runs and check_validity filters each
         # leaf, but no pinned spec finishes without propagation; so the
         # reference here propagates and holds the scan to leaves, where
