@@ -16,13 +16,12 @@ An instance, that function with one tuple of element values, is an
 integer id into the plan's parallel lists; it is re-checked whenever a
 cell it last read changes, and a violated instance cuts the branch; the
 checker re-subscribes it in place to each cell as it reads it, so a
-recheck allocates nothing.  A search's plan (``_Plan``) is built once per
-process for each spec: its preset cells, derived rules, decision order,
-relabelings and root state, the instances of each sentence's cached checker
-(``_checker``) evaluated once on the preset cells, less those that hold
-there and read no other cell, each subscribed to the cells it read.  A run
-starts from a copy of its cells and watch dicts and evaluates nothing
-before its first decision.
+recheck allocates nothing.  A search's plan (``_Plan``) holds its preset
+cells, derived rules, decision order, relabelings and root state: the
+instances of each sentence's cached checker (``_checker``) evaluated once on
+the preset cells, less those that hold there and read no other cell.  A run
+starts from a copy of it and evaluates nothing before its first decision;
+a spec searched again in one process reuses its plan (``_plan``).
 A step rechecks each instance at most once: it subscribes with the step's
 stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
@@ -84,7 +83,7 @@ class SearchSpec:
     propagate: bool = True  # False: the reference run, which compiles nothing
 
     def __post_init__(self):
-        # tuples, so that every spec is hashable, as a plan key must be
+        # tuples, so that a spec hashes, as a plan key must
         object.__setattr__(self, "must_hold", tuple(self.must_hold))
         object.__setattr__(self, "must_fail", tuple(self.must_fail))
         if self.size < 1:
@@ -120,9 +119,11 @@ def _layout(n):
     return 0, 1, 1 + n, 1 + 2 * n, 1 + 2 * n + n * n, 1 + 2 * n + 2 * n * n
 
 
-def _relabeling(n, perm):
+@cache
+def _relabeling(n, perm: tuple):
     """The symmetry that renames each element x to ``perm[x]``: for each
-    cell, the cell it is read from, and the map of its value."""
+    cell, the cell it is read from, and the map of its value.  Built once
+    per process for each permutation, so a new plan reuses it; read-only."""
     inv = [0] * n
     for x, y in enumerate(perm):
         inv[y] = x
@@ -251,15 +252,13 @@ def _checker(s: Sentence, n: int, preset: tuple):
 
 
 class _Plan:
-    """What every search of one spec shares, built once per process for each
-    spec, less its node budget, and runner's ``rules`` (``_plan``), and
-    never changed after: the preset cells and derived rules ``rules`` sets,
-    the decision order, its relabelings' image sources over that order, and
-    the root state: the must-hold instances ``_checker`` keeps, as ids into
-    parallel lists, each subscribed at version 0 to the cells it read, in id
-    order, as evaluating them in turn would; the kept must-fail instances;
-    and whether something is already violated.  Without propagation the
-    root state is empty and nothing is compiled."""
+    """What every search of one spec shares, never changed once built: the
+    preset cells and derived rules ``rules`` sets, the decision order, its
+    relabelings' image sources over that order, and the root state: the
+    must-hold instances ``_checker`` keeps, as ids into parallel lists,
+    each subscribed at version 0 to the cells it read, in id order; the
+    kept must-fail instances; whether something is already violated.
+    Without propagation the root state is empty and nothing is compiled."""
 
     def __init__(self, spec, rules):
         n = self.n = spec.size
@@ -273,8 +272,7 @@ class _Plan:
         # per relabeling: (image sources, value map, next position), for lex_leader
         self.tied = tuple((tuple(src[v] for v in self.variables), vmap, 0)
                           for src, vmap in symmetries) if spec.up_to_iso else ()
-        # must-hold instance i: its checker, the values of its variables and
-        # its sentence's index in must_hold
+        # must-hold instance i: its checker, variable values and sentence index
         self.checks, self.values, self.owner = [], [], []
         # watch[c]: instance -> stamp of the subscription that read cell c
         self.watch: list[dict] = [{} for _ in range(self.total)]
@@ -321,15 +319,15 @@ class _Plan:
         return free
 
 
-# the plan of each (spec without a node budget, rules), built on first use
-_plan = cache(_Plan)
+# each (spec less its node budget, rules)'s plan, reused by a spec searched
+# again in one process; a size-8 plan holds about 120 KB, the suite builds 17
+_plan = lru_cache(maxsize=32)(_Plan)
 
 
 class _Engine:
-    """One search's state, copied from its plan: the cells, each cell's
-    watch dict and every instance's version at 0, and zeroed counters; the
-    rest is the plan's, read-only.  Backtracking over the plan's decision
-    order with watch-list propagation."""
+    """One search's state: a copy of its plan's cells and watch dicts, the
+    instances' versions at 0 and zeroed counters; the rest is the plan's,
+    read-only.  Backtracking with watch-list propagation."""
 
     def __init__(self, plan: _Plan, sentences: int):
         self.plan = plan
@@ -578,8 +576,7 @@ def search(spec: SearchSpec) -> SearchResult:
 
 
 def _generic_rules(plan: _Plan, spec: SearchSpec):
-    """R1's copies, with no cell preset; returns the relabelings by the
-    adjacent transpositions of the elements."""
+    """R1's copies, with no cell preset; the adjacent transpositions."""
     n = spec.size
     if axiom_sentence("R1") in spec.must_hold:
         for i in range(n):
@@ -619,10 +616,7 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
 
 
 def _guided_rules(plan: _Plan, spec: SearchSpec):
-    """The bitmask Boolean part preset and the additive rule; returns the
-    relabelings by the nontrivial permutations of the atoms, each extended
-    to the elements by OR over atoms: every automorphism of the Boolean part
-    except the identity map."""
+    """The bitmask Boolean part and the additive rule; the atoms' symmetries."""
     n = spec.size
     for i in range(n):
         plan.cells[plan.neg0 + i] = i ^ (n - 1)
@@ -648,9 +642,18 @@ def _guided_rules(plan: _Plan, spec: SearchSpec):
                 additive(plan.comp0 + i * n, 1)
     if axiom_sentence("R9") in spec.must_hold:
         additive(plan.conv0, 1)
-    perms = [[sum(atoms[images[b]] for b, a in enumerate(atoms) if x & a)
-              for x in range(n)] for images in permutations(range(len(atoms)))]
-    return [_relabeling(n, p) for p in perms[1:]]  # the identity comes first
+    return _atom_relabelings(n)
+
+
+@cache
+def _atom_relabelings(n):
+    """The relabelings by the nontrivial permutations of the atoms of the
+    bitmask Boolean algebra, extended by OR over atoms: every automorphism
+    of the Boolean part but the identity.  Built once per size; read-only."""
+    k = (n - 1).bit_length()
+    perms = [tuple(sum(1 << images[b] for b in range(k) if x >> b & 1)
+                   for x in range(n)) for images in permutations(range(k))]
+    return tuple(_relabeling(n, p) for p in perms[1:])  # the identity comes first
 
 
 def _is_model(alg: FiniteAlgebra, spec: SearchSpec) -> bool:

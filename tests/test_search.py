@@ -143,7 +143,7 @@ class TestGuidedOracleCrossChecks:
     (search, ORACLE_SPECS[1], "R3"),
     (boolean_guided_search, GUIDED_ORACLE_SPECS[0], "R10")])
 def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
-                                                 monkeypatch, cold_cache):
+                                                 monkeypatch):
     # a checker that reads one sentence's False as True breaks the
     # propagating run; the reference compiles and lays out nothing, so it
     # still agrees with the brute-force oracle
@@ -219,14 +219,18 @@ def _clear_caches():
     _plan.cache_clear()
 
 
-@pytest.fixture
-def cold_cache():
-    """Empty checker and plan caches for the test, emptied again after it,
-    so that every checker and plan the test uses is built under its
-    patches, and none of them reaches a later test."""
-    _clear_caches()
+@pytest.fixture(autouse=True)
+def cold_cache_when_patched(request):
+    """Empty checker and plan caches for every test that patches (it takes
+    ``monkeypatch``), emptied again after it, so that every checker and
+    plan it uses is built under its patches, and none of them reaches a
+    later test."""
+    patched = "monkeypatch" in request.fixturenames
+    if patched:
+        _clear_caches()
     yield
-    _clear_caches()
+    if patched:
+        _clear_caches()
 
 
 class _Recorder:
@@ -303,7 +307,7 @@ class TestCompiledChecker:
                 assert folded(cells, watch, None, 0, *values) is want, (text, values)
                 assert watch.reads == []
 
-    def test_watch_holds_each_instance_once(self, monkeypatch, cold_cache):
+    def test_watch_holds_each_instance_once(self, monkeypatch):
         # a recheck re-subscribes its instance to every cell it read; the
         # cell must replace the instance's old entry rather than add one.
         # The must-fail scans, which pass no instance, subscribe nowhere in
@@ -340,8 +344,7 @@ class TestCompiledChecker:
         *((search, spec) for spec in ORACLE_SPECS),
         # the last guided row is violated at the root and reaches no leaf
         *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS[:-1])])
-    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch,
-                                           cold_cache):
+    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
         # a propagating search checks nothing at a leaf, so its watchers
         # must already have seen every instance hold on the leaf's cells
         engine = sys.modules["relalg.search"]
@@ -358,8 +361,7 @@ class TestCompiledChecker:
         assert leaves
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_each_step_checks_an_instance_once(self, name, monkeypatch,
-                                               cold_cache):
+    def test_each_step_checks_an_instance_once(self, name, monkeypatch):
         # from the plan's root state every must-hold check is a recheck in
         # set_cell, none of them repeated within a step, and a leaf checks
         # no must-hold instance; the must-fail scans pass no instance and
@@ -398,7 +400,7 @@ class TestCompiledChecker:
         assert res.exhaustive
         assert len(rechecks) == res.rechecks == pinned
 
-    def test_every_read_cell_is_watched(self, monkeypatch, cold_cache):
+    def test_every_read_cell_is_watched(self, monkeypatch):
         # what lets a step stop at its first violated instance: after a
         # successful step and after an undo, every instance is subscribed at
         # its current version to each cell its check reads, including the
@@ -519,8 +521,7 @@ class TestCheckerCache:
           for name in sorted(PINNED_COUNTS)),
         pytest.param(*PRESET_VIOLATED, False, id="preset-violated")])
     def test_root_state_matches_evaluating_every_instance(self, runner, spec,
-                                                          verdict, monkeypatch,
-                                                          cold_cache):
+                                                          verdict, monkeypatch):
         # the plan lays out the cached root state; it must match evaluating
         # every instance: the same verdict, each cell's watchers in the same
         # order at version 0, and only the instances that hold and subscribe
@@ -546,7 +547,7 @@ class TestCheckerCache:
             assert list(values) == [v for v in every if (0, v) not in free]
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_warm_cache_changes_nothing(self, name, monkeypatch, cold_cache):
+    def test_warm_cache_changes_nothing(self, name, monkeypatch):
         # the same search from cleared caches, again warm, and again after
         # a search of its sentences at another size: one result, with the
         # pinned counts each time, and the warm run compiles nothing and
@@ -581,7 +582,7 @@ class TestCheckerCache:
         assert (res.nodes_explored, res.rechecks) == (base.nodes_explored,
                                                       base.rechecks)
 
-    def test_suite_compiles_each_checker_once(self, monkeypatch, cold_cache):
+    def test_suite_compiles_each_checker_once(self, monkeypatch):
         # its searches fetch 147 checkers, 63 of them distinct; a second
         # suite reuses every plan and compiles none
         compiled = _counting_compile(monkeypatch)
@@ -592,8 +593,7 @@ class TestCheckerCache:
         assert compiled == []
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_runs_leave_their_plan_as_built(self, name, monkeypatch,
-                                            cold_cache):
+    def test_runs_leave_their_plan_as_built(self, name, monkeypatch):
         # a run changes only its own copy of the root state, so after two
         # runs the cached plan still equals one built afresh
         engine = sys.modules["relalg.search"]
@@ -698,8 +698,7 @@ class TestDecisionOrder:
         # R9 derives the converse of 3 from those of 1 and 2
         (boolean_guided_search, 4, ("R9",), [0, 5, 6, 7, *range(25, 41)]),
     ])
-    def test_decision_order(self, runner, size, held, order, monkeypatch,
-                            cold_cache):
+    def test_decision_order(self, runner, size, held, order, monkeypatch):
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
         assert _plan_of(runner, spec, monkeypatch).variables == order
@@ -714,8 +713,7 @@ class TestDerivedCells:
         (boolean_guided_search, 4, ("R8", "R8p")),
         (boolean_guided_search, 8, ("R8", "R8p", "R9")),
     ])
-    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch,
-                                        cold_cache):
+    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch):
         # what lex-leader needs of the relabelings: each maps a table that
         # satisfies the rules to one that does too, so the image of a rule
         # is a rule (a copy, with one dependency, read either way; the
@@ -744,7 +742,7 @@ class TestDerivedCells:
     @pytest.mark.parametrize("name", ["tarski-minus-r2-size2", "tarski-r2-size3",
                                       "tarski-size4", "rsys-size4",
                                       "ssys-size4", "ssys-r7-size4"])
-    def test_rules_lose_no_model(self, name, monkeypatch, cold_cache):
+    def test_rules_lose_no_model(self, name, monkeypatch):
         # every table that satisfies the held laws satisfies the rules, so
         # a search that decides the derived cells instead finds the same
         # classes, on a larger tree
@@ -754,7 +752,8 @@ class TestDerivedCells:
         engine = sys.modules["relalg.search"]
         monkeypatch.setattr(engine._Plan, "add_derived",
                             lambda plan, target, deps: None)
-        _clear_caches()  # the plan with the rules is cached
+        # a plan built here, not the cached one that has the rules
+        monkeypatch.setattr(engine, "_plan", engine._Plan)
         decided = runner(spec)
         assert derived.exhaustive and decided.exhaustive
         assert _forms(derived.models) == _forms(decided.models)
@@ -790,7 +789,7 @@ class TestSymmetryBreaking:
 
     @pytest.mark.parametrize("n, fixing", [(1, [0]), (2, [0, 0]),
                                            (4, [1, 0, 1]), (8, [5, 1, 1, 5])])
-    def test_guided_symmetries(self, n, fixing, monkeypatch, cold_cache):
+    def test_guided_symmetries(self, n, fixing, monkeypatch):
         # every Boolean automorphism but the identity map; those fixing a
         # least identity act below it, and the others map it higher, so they
         # drop out at the identity cell without cutting
@@ -811,7 +810,7 @@ class TestSymmetryBreaking:
                 for rep in least] == fixing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_generic_symmetries(self, n, monkeypatch, cold_cache):
+    def test_generic_symmetries(self, n, monkeypatch):
         # the adjacent transpositions of all the elements: the swap of v - 1
         # and v maps an identity v > 0 lower, and only the swap of 0 and 1
         # moves identity 0
@@ -826,7 +825,7 @@ class TestSymmetryBreaking:
         (boolean_guided_search, 8, [0, 1, 3, 7]),
         (search, 1, [0]), (search, 2, [0]), (search, 3, [0])])
     def test_identity_survives_when_least_in_its_orbit(self, runner, n, least,
-                                                       monkeypatch, cold_cache):
+                                                       monkeypatch):
         # R1-R3 read no identity cell, so every identity passes its step and
         # the root comparison alone decides which go on
         assert _least_identities(runner, n) == least
@@ -839,7 +838,7 @@ class TestSymmetryBreaking:
     @pytest.mark.parametrize("runner, model_id", [
         (search, "a2"), (boolean_guided_search, "a9")])
     def test_image_sources_relabel_every_cell(self, runner, model_id,
-                                              monkeypatch, cold_cache):
+                                              monkeypatch):
         # each cell of the relabeled tables is the value map applied to the
         # cell it is read from; the plan keeps those of the decision cells
         a = build_model(model_id)
@@ -866,7 +865,7 @@ class TestMustFailSemantics:
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_refuting_early_matches_refuting_at_leaves(self, name,
-                                                       monkeypatch, cold_cache):
+                                                       monkeypatch):
         # without propagation no scan runs and check_validity filters each
         # leaf, but no pinned spec finishes without propagation; so the
         # reference here propagates and holds the scan to leaves, where
