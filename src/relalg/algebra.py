@@ -8,6 +8,7 @@ for genuine relation algebras and for deliberately broken structures.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 
@@ -37,8 +38,15 @@ class FiniteAlgebra:
         return str(x)
 
 
+def _ints(values, what) -> tuple[int, ...]:
+    try:  # operator.index neither truncates a float nor parses a string
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise AlgebraError(f"{what} entries must be integers") from None
+
+
 def _as_matrix(table, size, what) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(_ints(row, what) for row in table)
     if len(rows) != size or any(len(row) != size for row in rows):
         raise AlgebraError(f"{what} table must be {size}x{size}")
     for row in rows:
@@ -49,7 +57,7 @@ def _as_matrix(table, size, what) -> tuple[tuple[int, ...], ...]:
 
 
 def _as_vector(table, size, what) -> tuple[int, ...]:
-    row = tuple(int(v) for v in table)
+    row = _ints(table, what)
     if len(row) != size:
         raise AlgebraError(f"{what} vector must have length {size}")
     for v in row:
@@ -61,8 +69,8 @@ def _as_vector(table, size, what) -> tuple[int, ...]:
 def make_algebra(size, add, neg, comp, conv, ident, names=None) -> FiniteAlgebra:
     """Validate tables and build a FiniteAlgebra.
 
-    Raises AlgebraError on dimension mismatches, out-of-range entries,
-    or duplicate display names.  No axiom is assumed or checked.
+    Raises AlgebraError on dimension mismatches, non-integer or out-of-range
+    entries, or duplicate display names.  No axiom is assumed or checked.
     """
     if size < 1:
         raise AlgebraError("size must be at least 1")
@@ -70,7 +78,7 @@ def make_algebra(size, add, neg, comp, conv, ident, names=None) -> FiniteAlgebra
     comp = _as_matrix(comp, size, "comp")
     neg = _as_vector(neg, size, "neg")
     conv = _as_vector(conv, size, "conv")
-    ident = int(ident)
+    (ident,) = _ints((ident,), "ident")
     if not 0 <= ident < size:
         raise AlgebraError(f"ident {ident} out of range for size {size}")
     if names is not None:

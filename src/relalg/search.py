@@ -21,7 +21,7 @@ cells, derived rules, decision order, relabelings and root state: the
 instances of each sentence's cached checker (``_checker``) evaluated once on
 the preset cells, less those that hold there and read no other cell.  A run
 starts from a copy of it and evaluates nothing before its first decision;
-a spec searched again in one process reuses its plan (``_plan``).
+one problem's labeled and iso runs, and its repeats, share a plan (``_plan``).
 A step rechecks each instance at most once: it subscribes with the step's
 stamp, and a later changed cell keeps an entry with that stamp unrechecked.
 A propagation step stops at its first violated instance, which moves to the
@@ -61,7 +61,7 @@ only if ``check_validity`` finds it a model (``_is_model``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import permutations, product
 
@@ -83,7 +83,7 @@ class SearchSpec:
     propagate: bool = True  # False: the reference run, which compiles nothing
 
     def __post_init__(self):
-        # tuples, so that a spec hashes, as a plan key must
+        # tuples, so that they hash, as a plan key's sentences must
         object.__setattr__(self, "must_hold", tuple(self.must_hold))
         object.__setattr__(self, "must_fail", tuple(self.must_fail))
         if self.size < 1:
@@ -119,11 +119,9 @@ def _layout(n):
     return 0, 1, 1 + n, 1 + 2 * n, 1 + 2 * n + n * n, 1 + 2 * n + 2 * n * n
 
 
-@cache
 def _relabeling(n, perm: tuple):
     """The symmetry that renames each element x to ``perm[x]``: for each
-    cell, the cell it is read from, and the map of its value.  Built once
-    per process for each permutation, so a new plan reuses it; read-only."""
+    cell, the cell it is read from, and the map of its value."""
     inv = [0] * n
     for x, y in enumerate(perm):
         inv[y] = x
@@ -252,26 +250,32 @@ def _checker(s: Sentence, n: int, preset: tuple):
 
 
 class _Plan:
-    """What every search of one spec shares, never changed once built: the
-    preset cells and derived rules ``rules`` sets, the decision order, its
-    relabelings' image sources over that order, and the root state: the
-    must-hold instances ``_checker`` keeps, as ids into parallel lists,
-    each subscribed at version 0 to the cells it read, in id order; the
-    kept must-fail instances; whether something is already violated.
-    Without propagation the root state is empty and nothing is compiled."""
+    """What every search of one problem shares, never changed once built:
+    the preset cells, derived rules and relabelings ``rules(n, must_hold)``
+    returns, the decision order, the relabelings' image sources over it
+    (only an iso run reads them), and the root state: the must-hold instances
+    ``_checker`` keeps, as ids into parallel lists, each subscribed at
+    version 0 to the cells it read, in id order; the kept must-fail
+    instances; whether something is already violated.  Without propagation
+    the root state is empty and nothing is compiled."""
 
-    def __init__(self, spec, rules):
-        n = self.n = spec.size
+    def __init__(self, n, must_hold, must_fail, propagate, rules):
+        self.n = n
         (self.ident_cell, self.neg0, self.conv0,
          self.add0, self.comp0, self.total) = _layout(n)
+        preset, self.derived, relabelings = rules(n, must_hold)
         self.cells: list[int | None] = [None] * self.total
+        for c, value in preset:
+            self.cells[c] = value
         # derived_by_dep[d]: the (target, deps) with d in deps; target = OR of deps
         self.derived_by_dep: dict[int, list] = {}
-        symmetries = rules(self, spec)
+        for target, deps in self.derived:
+            for d in deps:
+                self.derived_by_dep.setdefault(d, []).append((target, deps))
         self.variables = self.decision_cells()
         # per relabeling: (image sources, value map, next position), for lex_leader
         self.tied = tuple((tuple(src[v] for v in self.variables), vmap, 0)
-                          for src, vmap in symmetries) if spec.up_to_iso else ()
+                          for src, vmap in relabelings)
         # must-hold instance i: its checker, variable values and sentence index
         self.checks, self.values, self.owner = [], [], []
         # watch[c]: instance -> stamp of the subscription that read cell c
@@ -279,10 +283,10 @@ class _Plan:
         # per must-fail sentence: its checker and the values of its instances
         self.refuters: list[tuple] = []
         self.violated = False
-        if not spec.propagate:
+        if not propagate:
             return
         preset = tuple(self.cells)
-        for i, s in enumerate(spec.must_hold):
+        for i, s in enumerate(must_hold):
             check, violated, values, watchers = _checker(s, n, preset)
             base = len(self.checks)
             self.checks += [check] * len(values)
@@ -291,12 +295,7 @@ class _Plan:
             for c, positions in watchers:
                 self.watch[c].update((base + j, 0) for j in positions)
             self.violated = self.violated or violated
-        self.refuters = [_checker(s, n, preset)[::2] for s in spec.must_fail]
-
-    def add_derived(self, target, deps):
-        spec = (target, tuple(deps))
-        for d in deps:
-            self.derived_by_dep.setdefault(d, []).append(spec)
+        self.refuters = [_checker(s, n, preset)[::2] for s in must_fail]
 
     def decision_cells(self):
         """Every cell neither preset nor derived, in layout order, except
@@ -305,11 +304,10 @@ class _Plan:
         column then completes as soon as its free rows are decided, and the
         instances that read it wake early."""
         n, comp0 = self.n, self.comp0
-        rules = {spec for specs in self.derived_by_dep.values() for spec in specs}
-        derived = {t for t, _ in rules}
+        derived = {t for t, _ in self.derived}
         free = [c for c in range(self.total)
                 if self.cells[c] is None and c not in derived]
-        comp_rules = [(t, deps) for t, deps in rules if t >= comp0]
+        comp_rules = [(t, deps) for t, deps in self.derived if t >= comp0]
         if comp_rules and all((d - t) % n == 0
                               for t, deps in comp_rules for d in deps):
             # a stable sort: within a column the rows keep their order
@@ -319,8 +317,9 @@ class _Plan:
         return free
 
 
-# each (spec less its node budget, rules)'s plan, reused by a spec searched
-# again in one process; a size-8 plan holds about 120 KB, the suite builds 17
+# each problem's plan, keyed by (size, must_hold, must_fail, propagate,
+# rules), shared by its labeled and iso runs and by repeats in one process;
+# a size-8 plan holds about 120 KB, the suite builds 15 (17 with --long)
 _plan = lru_cache(maxsize=32)(_Plan)
 
 
@@ -482,8 +481,8 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
     first decided position where a variable is larger than its image; so
     the lex-least labeling of every class, which is never larger than an
     image, is kept, and at the identity cell, decided first, only the least
-    identity of each orbit survives.  A labeled run has none, since it must
-    reach every labeling."""
+    identity of each orbit survives.  A labeled run, which must reach every
+    labeling, shares the plan but compares with none of them."""
     n = spec.size
     if plan.violated:
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
@@ -553,7 +552,7 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
             if not exhausted:
                 return
 
-    dfs(0, plan.tied, [0] * len(spec.must_fail))
+    dfs(0, plan.tied if spec.up_to_iso else (), [0] * len(spec.must_fail))
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
@@ -572,18 +571,18 @@ def search(spec: SearchSpec) -> SearchResult:
     deduplicated by canonical form.  A transposition may carry a decided
     add cell onto a derived one, but it maps commutative tables to
     commutative tables, which is what lex-leader needs of it."""
-    return _run(spec, _plan(replace(spec, node_limit=None), _generic_rules))
+    return _run(spec, _plan(spec.size, spec.must_hold, spec.must_fail,
+                            spec.propagate, _generic_rules))
 
 
-def _generic_rules(plan: _Plan, spec: SearchSpec):
-    """R1's copies, with no cell preset; the adjacent transpositions."""
-    n = spec.size
-    if axiom_sentence("R1") in spec.must_hold:
-        for i in range(n):
-            for j in range(i + 1, n):
-                plan.add_derived(plan.add0 + j * n + i, [plan.add0 + i * n + j])
-    return [_relabeling(n, (*range(i), i + 1, i, *range(i + 2, n)))
-            for i in range(n - 1)]
+def _generic_rules(n, must_hold):
+    """No cell preset; R1's copies; the adjacent transpositions."""
+    add0, derived = _layout(n)[3], []
+    if axiom_sentence("R1") in must_hold:
+        derived = [(add0 + j * n + i, (add0 + i * n + j,))
+                   for i in range(n) for j in range(i + 1, n)]
+    return (), derived, [_relabeling(n, (*range(i), i + 1, i, *range(i + 2, n)))
+                         for i in range(n - 1)]
 
 
 def boolean_guided_search(spec: SearchSpec) -> SearchResult:
@@ -612,37 +611,29 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     n = spec.size
     if n & (n - 1):
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
-    return _run(spec, _plan(replace(spec, node_limit=None), _guided_rules))
+    return _run(spec, _plan(spec.size, spec.must_hold, spec.must_fail,
+                            spec.propagate, _guided_rules))
 
 
-def _guided_rules(plan: _Plan, spec: SearchSpec):
-    """The bitmask Boolean part and the additive rule; the atoms' symmetries."""
-    n = spec.size
-    for i in range(n):
-        plan.cells[plan.neg0 + i] = i ^ (n - 1)
-        for j in range(n):
-            plan.cells[plan.add0 + i * n + j] = i | j
+def _guided_rules(n, must_hold):
+    """The bitmask Boolean part; the additive rule; the atoms' symmetries."""
+    _, neg0, conv0, add0, comp0, _ = _layout(n)
+    preset = [(neg0 + i, i ^ (n - 1)) for i in range(n)]
+    preset += [(add0 + i * n + j, i | j) for i in range(n) for j in range(n)]
     atoms = [1 << b for b in range((n - 1).bit_length())]
-
-    def additive(base, step):
-        # the cell base + x * step at each composite x is the OR of the
-        # cells at the atoms of x
-        for x in range(n):
-            if x & (x - 1):
-                plan.add_derived(base + x * step,
-                                 [base + p * step for p in atoms if x & p])
-
-    r8 = axiom_sentence("R8") in spec.must_hold
-    if r8:
-        for j in range(n):  # the rows of each column
-            additive(plan.comp0 + j, n)
-    if axiom_sentence("R8p") in spec.must_hold:
-        for i in range(n):  # the columns of each row R8 leaves free
-            if not (r8 and i & (i - 1)):
-                additive(plan.comp0 + i * n, 1)
-    if axiom_sentence("R9") in spec.must_hold:
-        additive(plan.conv0, 1)
-    return _atom_relabelings(n)
+    r8 = axiom_sentence("R8") in must_hold
+    r8p = axiom_sentence("R8p") in must_hold
+    # the additive lines (base, step): in each, the cell base + x * step at
+    # a composite x is the OR of the cells at the atoms of x.  R8 rules each
+    # column of comp, R8p each row R8 leaves free, R9 conv
+    lines = [(comp0 + j, n) for j in range(n) if r8]
+    lines += [(comp0 + i * n, 1) for i in range(n)
+              if r8p and not (r8 and i & (i - 1))]
+    if axiom_sentence("R9") in must_hold:
+        lines.append((conv0, 1))
+    derived = [(base + x * step, tuple(base + p * step for p in atoms if x & p))
+               for base, step in lines for x in range(n) if x & (x - 1)]
+    return preset, derived, _atom_relabelings(n)
 
 
 @cache

@@ -33,6 +33,13 @@ class TestMakeAlgebra:
     def test_out_of_range_entry(self):
         with pytest.raises(AlgebraError, match="out of range"):
             make_algebra(2, [[0, 1], [1, 5]], [1, 0], [[0, 0], [0, 1]], [0, 1], 1)
+        # an entry that is not an integer is neither truncated nor parsed
+        for add, neg, what in [([[0, 1.7], [1, 1]], [1, 0], "add"),
+                               ([[0, "1"], [1, 1]], [1, 0], "add"),
+                               ([[0, 1], [1, 1]], ["1", 0], "neg"),
+                               ([[0, 1], [1, 1]], "10", "neg")]:
+            with pytest.raises(AlgebraError, match=f"{what} entries must be integers"):
+                make_algebra(2, add, neg, [[0, 0], [0, 1]], [0, 1], 1)
 
     def test_bad_vector_length(self):
         with pytest.raises(AlgebraError, match="neg vector"):
@@ -41,6 +48,9 @@ class TestMakeAlgebra:
     def test_bad_ident(self):
         with pytest.raises(AlgebraError, match="ident"):
             make_algebra(2, [[0, 1], [1, 1]], [1, 0], [[0, 0], [0, 1]], [0, 1], 3)
+        for ident in (1.9, "1", None):
+            with pytest.raises(AlgebraError, match="ident"):
+                make_algebra(2, [[0, 1], [1, 1]], [1, 0], [[0, 0], [0, 1]], [0, 1], ident)
 
     def test_duplicate_names(self):
         with pytest.raises(AlgebraError, match="distinct"):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import os
+import pickle
 import sys
 from dataclasses import replace
 from itertools import product
@@ -12,9 +14,9 @@ from relalg.axioms import (AXIOM_TEXT, R_SYS, S_SYS, TARSKI, axiom_sentence,
                            satisfies)
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.report import run_verification_suite
-from relalg.search import (SearchSpec, _checker, _compile, _layout, _plan,
-                           _relabeling, boolean_guided_search, naive_enumerate,
-                           search)
+from relalg.search import (SearchSpec, _checker, _compile, _generic_rules,
+                           _guided_rules, _layout, _plan, _relabeling,
+                           boolean_guided_search, naive_enumerate, search)
 from relalg.terms import free_vars, holds, parse_sentence
 
 
@@ -483,6 +485,18 @@ def _plan_of(runner, spec, monkeypatch):
     return plan
 
 
+def _plan_key(runner, spec, monkeypatch):
+    """The inputs ``runner`` builds its plan from for ``spec``; nothing runs."""
+    engine = sys.modules["relalg.search"]
+    keys = []
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_plan", lambda *key: keys.append(key))
+        m.setattr(engine, "_run", lambda spec, plan: None)
+        runner(spec)
+    (key,) = keys
+    return key
+
+
 def _every_instance_evaluated(plan, sentences):
     """Every instance of ``sentences`` evaluated once, in turn, on the
     plan's preset cells, as an engine without the root-state cache would
@@ -605,6 +619,33 @@ class TestCheckerCache:
         assert keys[0] == keys[1] and plan_.cache_info().misses == 1
         assert vars(plan_(*keys[0])) == vars(engine._Plan(*keys[0]))
 
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_plan_inputs_survive_pickling(self, name, monkeypatch):
+        # a worker process sent a plan's inputs builds the plan the cache
+        # holds from them
+        runner, spec, *_ = PINNED_COUNTS[name]
+        key = _plan_key(runner, spec, monkeypatch)
+        sent = pickle.loads(pickle.dumps(key))
+        assert sent == key
+        engine = sys.modules["relalg.search"]
+        assert vars(engine._Plan(*sent)) == vars(_plan(*key))
+
+    @pytest.mark.parametrize("name, iso_nodes", [("tarski-size4", 297),
+                                                 ("tarski-minus-r2-size2", 55)])
+    def test_labeled_and_iso_runs_share_one_plan(self, name, iso_nodes):
+        # the plan keeps its relabelings' image sources, which only the iso
+        # run reads, so both runs of one problem build one plan
+        runner, spec, nodes, classes, labelings = SYMMETRY_ORACLE_SPECS[name]
+        _clear_caches()
+        iso = runner(replace(spec, up_to_iso=True, node_limit=iso_nodes))
+        labeled = runner(replace(spec, up_to_iso=False, node_limit=nodes))
+        assert _plan.cache_info()[:2] == (1, 1)  # hits, misses
+        assert iso.exhaustive and labeled.exhaustive
+        assert (iso.nodes_explored, labeled.nodes_explored) == (iso_nodes, nodes)
+        assert iso.symmetry_cuts > 0 and labeled.symmetry_cuts == 0
+        for res in (iso, labeled):
+            assert (res.iso_class_count, res.labeled_count) == (classes, labelings)
+
 
 # specs for the up-to-iso against labeled cross-check: (runner, spec, nodes
 # of the labeled run, which is the budget of both runs, iso classes,
@@ -705,6 +746,19 @@ class TestDecisionOrder:
 
 
 class TestDerivedCells:
+    @pytest.mark.parametrize("rules", [_generic_rules, _guided_rules])
+    def test_rules_are_data(self, rules):
+        # a pure function of the size and the held laws, given no plan: it
+        # returns the preset (cell, value) pairs, the derived (target, deps)
+        # rules and the relabelings, the same on every call
+        assert list(inspect.signature(rules).parameters) == ["n", "must_hold"]
+        held = _axioms(("R1", "R2", "R3", "R8", "R9"))
+        preset, derived, relabelings = rules(4, held)
+        assert (preset, derived, relabelings) == rules(4, held)
+        assert derived and relabelings
+        assert all(v is not None for _, v in preset)
+        assert all(t not in deps for t, deps in derived)
+
     @pytest.mark.parametrize("runner, size, held", [
         (search, 3, ("R1",)),
         (search, 4, ("R1",)),
@@ -723,8 +777,7 @@ class TestDerivedCells:
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
         plan = _plan_of(runner, spec, monkeypatch)
         symmetries = [_relabeling(size, vmap) for vmap in _vmaps(plan)]
-        rules = {(t, frozenset(deps)) for specs in plan.derived_by_dep.values()
-                 for t, deps in specs}
+        rules = {(t, frozenset(deps)) for t, deps in plan.derived}
         targets = {t for t, _ in rules}
         assert symmetries and rules and len(targets) == len(rules)
         for src, _ in symmetries:
@@ -750,10 +803,15 @@ class TestDerivedCells:
         spec = replace(spec, up_to_iso=True)
         derived = runner(spec)
         engine = sys.modules["relalg.search"]
-        monkeypatch.setattr(engine._Plan, "add_derived",
-                            lambda plan, target, deps: None)
-        # a plan built here, not the cached one that has the rules
-        monkeypatch.setattr(engine, "_plan", engine._Plan)
+
+        def underived(rules):
+            def without_derived(n, must_hold):
+                preset, _, relabelings = rules(n, must_hold)
+                return preset, [], relabelings
+            return without_derived
+        # new rules, so a new plan: the cached one has the derived cells
+        for rules in ("_generic_rules", "_guided_rules"):
+            monkeypatch.setattr(engine, rules, underived(getattr(engine, rules)))
         decided = runner(spec)
         assert derived.exhaustive and decided.exhaustive
         assert _forms(derived.models) == _forms(decided.models)
