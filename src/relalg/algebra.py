@@ -69,16 +69,17 @@ def _as_vector(table, size, what) -> tuple[int, ...]:
 def make_algebra(size, add, neg, comp, conv, ident, names=None) -> FiniteAlgebra:
     """Validate tables and build a FiniteAlgebra.
 
-    Raises AlgebraError on dimension mismatches, non-integer or out-of-range
-    entries, or duplicate display names.  No axiom is assumed or checked.
+    Raises AlgebraError on a non-integer size, dimension mismatches,
+    non-integer or out-of-range entries, or duplicate display names.  No
+    axiom is assumed or checked.
     """
+    size, ident = _ints((size, ident), "size and ident")
     if size < 1:
         raise AlgebraError("size must be at least 1")
     add = _as_matrix(add, size, "add")
     comp = _as_matrix(comp, size, "comp")
     neg = _as_vector(neg, size, "neg")
     conv = _as_vector(conv, size, "conv")
-    (ident,) = _ints((ident,), "ident")
     if not 0 <= ident < size:
         raise AlgebraError(f"ident {ident} out of range for size {size}")
     if names is not None:

@@ -19,7 +19,7 @@ from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
 from .report import render_model, run_verification_suite
-from .search import SearchSpec, boolean_guided_search, search
+from .search import SearchSpec, _search_for
 from .terms import EvalError, ParseError, eval_term, parse_term
 
 
@@ -157,8 +157,7 @@ def cmd_search(args) -> int:
     must_fail = tuple(axiom_sentence(i) for i in _parse_axiom_list(args.fail or ""))
     spec = SearchSpec(args.size, must_hold, must_fail, up_to_iso=args.iso,
                       node_limit=args.limit)
-    runner = boolean_guided_search if args.guided else search
-    res = runner(spec)
+    res = _search_for(spec)(spec)
     conflicts = dict(zip(hold, res.conflicts))
     if args.json:
         doc = {
@@ -246,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--hold", help="axioms to satisfy, e.g. R1,R3-R10")
     p.add_argument("--fail", help="axioms that must each fail")
-    p.add_argument("--iso", action="store_true", help="up to isomorphism")
+    p.add_argument("--iso", action="store_true", help="up to isomorphism; "
+                   "with R1-R3 held, the Boolean part is fixed (guided search)")
     p.add_argument("--limit", type=int, help="node limit")
-    p.add_argument("--guided", action="store_true",
-                   help="fix the Boolean part (needs R1-R3 in --hold)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

@@ -16,10 +16,7 @@ from .algebra import FiniteAlgebra, find_isomorphism, to_json
 from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
-# boolean_guided_search is unused here, but the benchmark's tracer test
-# checks that its wrapper reaches this namespace
-from .search import (SearchResult, _independence_search,  # noqa: F401
-                     boolean_guided_search)
+from .search import SearchSpec, _search_for, boolean_guided_search
 from .terms import check_validity, holds
 from . import golden
 
@@ -382,14 +379,20 @@ def run_verification_suite(include_long_running: bool = False,
         every finished search join the lemma population."""
         def fn():
             rows, found = [], {}
+            must_hold = tuple(axiom_sentence(i) for i in system if i != target)
             for n in sizes:
-                res, skipped = _independence_search(n, system, target, node_limit), None
-                if res is None:
-                    res = SearchResult([], 0, 0, True, 0)
-                    skipped = "not a power of two: no Boolean skeleton"
+                spec = SearchSpec(n, must_hold, (axiom_sentence(target),),
+                                  up_to_iso=True, node_limit=node_limit)
+                runner = _search_for(spec)
+                if runner is boolean_guided_search and n & (n - 1):
+                    rows.append({"size": n, "models": 0, "labeled": 0, "exhaustive": True,
+                                 "skipped": "not a power of two: no Boolean skeleton",
+                                 "nodes": 0, "rechecks": 0})
+                    continue
+                res = runner(spec)
                 rows.append({"size": n, "models": res.iso_class_count,
                              "labeled": res.labeled_count,
-                             "exhaustive": res.exhaustive, "skipped": skipped,
+                             "exhaustive": res.exhaustive, "skipped": None,
                              "nodes": res.nodes_explored, "rechecks": res.rechecks})
                 found[n] = res.models
                 if res.exhaustive:

@@ -50,7 +50,9 @@ cells, read in decision order, are larger than their image under one of
 them.  The identity is decided like every other cell, so the comparison
 at its cell keeps only the least identity of each orbit.  The lex-least
 labeling of every isomorphism class survives, so the counts, which come
-from canonical forms, do not change.
+from canonical forms, do not change.  ``relalg search`` and the claim suite
+run the guided search (``_search_for``) on every problem searched up to
+isomorphism that holds R1-R3, and the generic one on any other.
 
 Two references cross-check the engine at tiny sizes: ``naive_enumerate``
 shares nothing with it, and a run with ``propagate=False`` shares ``_run``'s
@@ -586,7 +588,8 @@ def _generic_rules(n, must_hold):
 
 
 def boolean_guided_search(spec: SearchSpec) -> SearchResult:
-    """Search exploiting that R1-R3 force a Boolean skeleton.
+    """Search exploiting that R1-R3 force a Boolean skeleton; ``_search_for``
+    picks it for every problem searched up to isomorphism that holds them.
 
     Sizes that are not powers of two are immediately empty.  Otherwise the
     Boolean part is fixed to the bitmask algebra (the unique Boolean algebra
@@ -679,18 +682,13 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
     return SearchResult(models, count, iso, True, tables)
 
 
-# --- independence searches -------------------------------------------------
+# --- the search a problem goes to -----------------------------------------
 
-def _independence_search(size, system, target, node_limit=None):
-    """Search ``size`` for the independence models of ``target`` within
-    ``system``, up to isomorphism: guided when R1-R3 are held, else generic.
-    None when they are held and ``size`` is not a power of two, where no
-    Boolean skeleton exists."""
-    must_hold = tuple(axiom_sentence(i) for i in system if i != target)
-    guided = all(axiom_sentence(i) in must_hold for i in ("R1", "R2", "R3"))
-    if guided and size & (size - 1):
-        return None
-    spec = SearchSpec(size, must_hold, (axiom_sentence(target),),
-                      up_to_iso=True, node_limit=node_limit)
-    return (boolean_guided_search if guided else search)(spec)
-
+def _search_for(spec: SearchSpec):
+    """The search ``spec`` goes to, for ``relalg search`` and every search
+    claim: ``boolean_guided_search`` when it is searched up to isomorphism
+    and holds R1-R3, else ``search``.  A labeled run stays generic, since
+    the guided search's ``models`` lists only the bitmask labelings."""
+    guided = spec.up_to_iso and all(axiom_sentence(i) in spec.must_hold
+                                    for i in ("R1", "R2", "R3"))
+    return boolean_guided_search if guided else search

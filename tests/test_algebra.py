@@ -60,6 +60,10 @@ class TestMakeAlgebra:
     def test_size_zero(self):
         with pytest.raises(AlgebraError):
             make_algebra(0, [], [], [], [], 0)
+        # nor is a size that is not an integer truncated or parsed
+        for size in (2.0, "2"):
+            with pytest.raises(AlgebraError, match="size and ident"):
+                make_algebra(size, [[0, 1], [1, 1]], [1, 0], [[0, 0], [0, 1]], [0, 1], 1)
 
 
 class TestDerivedOperations:

@@ -113,22 +113,41 @@ class TestCommands:
         assert line.split(":", 1)[1].strip().split(", ") == [
             f"{i} {c}" for i, c in conflicts.items()]
 
+    def test_search_iso_with_r1_r3_is_guided(self, capsys):
+        # the guided search's tree; the generic one explores 52,377 nodes
+        code, out, _ = run(capsys, "search", "--size", "4", "--hold", "R1-R10",
+                           "--iso", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["nodes_explored"], doc["iso_class_count"],
+                doc["labeled_count"]) == (297, 3, 60)
+
+    def test_search_labeled_lists_every_labeling(self, capsys):
+        # a labeled run stays generic, though it holds R1-R3: the guided
+        # search would list only the labeling with the bitmask Boolean part
+        code, out, _ = run(capsys, "search", "--size", "2", "--hold", "R1-R10",
+                           "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (len(doc["models"]), doc["labeled_count"]) == (2, 2)
+
     def test_search_symmetry_cuts(self, capsys):
-        # the lex-leader cut acts only up to isomorphism
-        argv = ("search", "--size", "4", "--hold", "R1-R10", "--guided")
-        for iso in (True, False):
-            flags = ("--iso",) if iso else ()
-            code, out, _ = run(capsys, *argv, *flags, "--json")
+        # the lex-leader cut acts only up to isomorphism: the labeled run
+        # cuts nothing, though the same problem's iso run cuts 15 branches
+        for argv, iso in ((("--size", "4", "--hold", "R1-R10", "--iso"), True),
+                          (("--size", "3", "--hold", "R1,R3-R10", "--fail", "R2"),
+                           False)):
+            code, out, _ = run(capsys, "search", *argv, "--json")
             assert code == 0
             cuts = json.loads(out)["symmetry_cuts"]
             assert (cuts > 0) is iso
-            code, out, _ = run(capsys, *argv, *flags)
+            code, out, _ = run(capsys, "search", *argv)
             assert f"symmetry cuts:  {cuts}\n" in out
 
     def test_search_refuted(self, capsys):
         # R1 reads only the preset Boolean part, so it holds at the root
         argv = ("search", "--size", "4", "--hold", "R1-R3", "--fail", "R1",
-                "--guided")
+                "--iso")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         doc = json.loads(out)
@@ -139,7 +158,7 @@ class TestCommands:
     def test_search_instances(self, capsys):
         # R1-R3 read only the preset Boolean part, so the guided search lays
         # out none of their instances; the generic search keeps R1's 4
-        for argv, instances in ((("--size", "4", "--hold", "R1-R3", "--guided"), 0),
+        for argv, instances in ((("--size", "4", "--hold", "R1-R3"), 0),
                                 (("--size", "2", "--hold", "R1"), 4)):
             argv += ("--fail", "R1", "--iso")
             code, out, _ = run(capsys, "search", *argv, "--json")
@@ -244,6 +263,9 @@ class TestCommands:
         assert out == "" and "at most 8 atoms" in err
 
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["search"])  # --size is required
-        assert e.value.code == 2
+        # --size is required; --guided is gone: the problem picks the search
+        for argv in (["search"], ["search", "--size", "2", "--hold", "R1-R3",
+                                  "--iso", "--guided"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from relalg import cli
 from relalg.algebra import automorphism_count, from_json, make_algebra, to_json
-from relalg.axioms import R_SYS, SYSTEMS, failing_axioms, status_vector
+from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
                            Report, _golden_claims, _lemma, render_model,
@@ -160,16 +160,16 @@ class TestAtSizeClaims:
         # made-up finished size-8 searches: the full system finds a9 alone,
         # the reduced one two classes with b9 second
         suite = sys.modules["relalg.report"]
-        search = suite._independence_search
+        search_for = suite._search_for
 
-        def finished(size, system, target, node_limit=None):
-            if size != 8:
-                return search(size, system, target, node_limit)
-            ids = ["d", "b9"] if system is R_SYS else ["a9"]
+        def finished(spec):
+            # of the two systems, only R_SYS holds R8p
+            ids = ["d", "b9"] if axiom_sentence("R8p") in spec.must_hold else ["a9"]
             models = [build_model(mid) for mid in ids]
             labeled = sum(40320 // automorphism_count(m) for m in models)
             return SearchResult(models, labeled, len(models), True, 1)
-        monkeypatch.setattr(suite, "_independence_search", finished)
+        monkeypatch.setattr(suite, "_search_for", lambda spec:
+                            finished if spec.size == 8 else search_for(spec))
         report = run_verification_suite(include_long_running=True)
         by_id = {c.claim_id: c for c in report.claims}
         tarski, rsys = (by_id[cid] for cid in LONG_CLAIMS)

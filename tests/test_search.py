@@ -1033,9 +1033,9 @@ class TestMinimality:
         # each search gets the budget the size-4 one needs, 451 nodes, so
         # one that lost its pruning stops there and fails at once
         engine = sys.modules["relalg.search"]
-        guided = engine.boolean_guided_search
-        monkeypatch.setattr(engine, "boolean_guided_search",
-                            lambda spec: guided(replace(spec, node_limit=451)))
+        run = engine._run
+        monkeypatch.setattr(engine, "_run", lambda spec, plan:
+                            run(replace(spec, node_limit=451), plan))
         claim = _suite_claims()["paper.s11.r9-minimality"]
         sizes = claim.evidence["sizes"]
         assert [s["size"] for s in sizes if s["skipped"] is None] == [1, 2, 4]
