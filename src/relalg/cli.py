@@ -18,7 +18,7 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
-from .report import render_model, run_verification_suite
+from .report import _named_env, render_model, run_verification_suite
 from .search import SearchSpec, _search_for
 from .terms import EvalError, ParseError, eval_term, parse_term
 
@@ -85,7 +85,7 @@ def _parse_env(a: FiniteAlgebra, text: str) -> dict:
 
 
 def _witness_str(a: FiniteAlgebra, env: dict) -> str:
-    return ", ".join(f"{k}={a.name_of(v)}" for k, v in sorted(env.items()))
+    return ", ".join(f"{k}={v}" for k, v in _named_env(a, env).items())
 
 
 def cmd_list_models(args) -> int:
@@ -96,7 +96,7 @@ def cmd_list_models(args) -> int:
 
 def cmd_show(args) -> int:
     a = _load_model(args.model)
-    print(render_model(a, "structured" if args.json else "ascii-table"))
+    print(to_json(a) if args.json else render_model(a))
     return 0
 
 
@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
             "system": args.system,
             "failing": failing,
             "axioms": {
-                k: (None if w is None else {v: a.name_of(i) for v, i in w.items()})
+                k: None if w is None else _named_env(a, w)
                 for k, w in status.items()
             },
         }
@@ -196,8 +196,6 @@ def cmd_verify_paper(args) -> int:
     if args.limit is not None:
         if not args.long:
             raise ValueError("--limit applies only with --long")
-        if args.limit < 1:
-            raise ValueError("--limit must be at least 1")
         budget["long_node_limit"] = args.limit
     report = run_verification_suite(include_long_running=args.long, **budget)
     if args.json:

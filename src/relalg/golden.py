@@ -1,9 +1,11 @@
 """Reference operation tables for the catalog models, recorded by element
-name in the same row order the tables are usually displayed in.
+name in the same row order the tables are usually displayed in.  A9 and B9
+are given as the paper gives them, by their differences from the Z3
+complex algebra and from D; their full tables are derived from those.
 
-These are compared cell-for-cell against the constructed algebras; a
-mismatch means either a transcription error here or a builder bug, and is
-reported with the offending cell coordinates.
+The claim suite's golden rows compare these cell-for-cell against the
+constructed algebras; a mismatch means either a transcription error here or
+a builder bug, and is reported with the offending cell coordinates.
 """
 
 from __future__ import annotations
@@ -105,22 +107,37 @@ B9_DIFF_COMP = [
 B9_CONV_SWAP = ("1'+a", "1'+b")
 
 
+def _patched(base, order, rows, cols, cells, swap):
+    """Comp and conv that differ from ``base`` by the block ``cells`` at
+    ``rows`` x ``cols`` and from the identity by the pair ``swap``."""
+    comp = [list(row) for row in base]
+    for rn, row in zip(rows, cells):
+        for cn, value in zip(cols, row):
+            comp[order.index(rn)][order.index(cn)] = value
+    p, q = swap
+    return comp, [{p: q, q: p}.get(x, x) for x in order]
+
+
+A9_COMP, A9_CONV = _patched(Z3_COMP, Z3_ORDER, A9_DIFF_ROWS, A9_DIFF_COLS,
+                            A9_DIFF_COMP, A9_CONV_SWAP)
+B9_COMP, B9_CONV = _patched(D_COMP, D_ORDER, B9_DIFF_ROWS, B9_DIFF_COLS,
+                            B9_DIFF_COMP, B9_CONV_SWAP)
+
+
 def index_map(a: FiniteAlgebra) -> dict:
     if a.names is None:
         raise ValueError("golden comparison needs a named algebra")
     return {name: i for i, name in enumerate(a.names)}
 
 
-def compare_table(a: FiniteAlgebra, table: str, order, rows,
-                  col_order=None) -> list[tuple]:
+def compare_table(a: FiniteAlgebra, table: str, order, rows) -> list[tuple]:
     """Cell-for-cell comparison of a binary table; returns mismatches as
     (row-name, col-name, got, expected)."""
     idx = index_map(a)
-    cols = col_order if col_order is not None else order
     op = getattr(a, table)
     bad = []
     for rn, row in zip(order, rows):
-        for cn, want in zip(cols, row):
+        for cn, want in zip(order, row):
             got = op[idx[rn]][idx[cn]]
             if got != idx[want]:
                 bad.append((rn, cn, a.names[got], want))

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .algebra import FiniteAlgebra, find_isomorphism, to_json
+from .algebra import FiniteAlgebra, find_isomorphism
 from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
@@ -85,13 +85,8 @@ class Report:
         return "\n".join(lines)
 
 
-def render_model(a: FiniteAlgebra, format: str = "ascii-table") -> str:
-    """One operation table per operation, element names in index order, or
-    the structured model-file form."""
-    if format == "structured":
-        return to_json(a)
-    if format != "ascii-table":
-        raise ValueError(f"unknown format {format!r}")
+def render_model(a: FiniteAlgebra) -> str:
+    """One operation table per operation, element names in index order."""
     names = a.names if a.names is not None else tuple(str(i) for i in range(a.size))
     w = max(len(s) for s in names)
     lines = [f"size: {a.size}", f"ident: {names[a.ident]}"]
@@ -216,90 +211,57 @@ def _lemma(verdict, population, hypotheses, conclusions, agree=False):
     return True, {"population": len(population), "applicable": applicable}
 
 
+# Part (a): (claim id, description, model id, name of its identity element,
+# comparisons (table, element order, reference)); neg and conv are unary.
+GOLDEN = [
+    ("paper.s3.table1-m3", "M3 operation tables match the reference", "m3", "1'",
+     [("comp", golden.M3_ORDER, golden.M3_COMP), ("conv", golden.M3_ORDER, golden.M3_ORDER)]),
+    ("paper.s3.tables2-3-z3-complex",
+     "Z3 complex algebra comp and conv tables match the reference", "z3c", "{0}",
+     [("comp", golden.Z3_ORDER, golden.Z3_COMP), ("conv", golden.Z3_ORDER, golden.Z3_CONV)]),
+    ("paper.s3.tables4-5-lyndon-d",
+     "eight-element symmetric algebra D: atom table and full comp table", "d", "1'",
+     [("comp", golden.D_ATOMS, golden.D_ATOM_COMP), ("comp", golden.D_ORDER, golden.D_COMP),
+      ("conv", golden.D_ORDER, golden.D_ORDER)]),
+    ("paper.s6.table6-a2", "A2 add, comp, and complement tables match", "a2", "1'",
+     [("add", golden.A2_ORDER, golden.A2_ADD), ("comp", golden.A2_ORDER, golden.A2_COMP),
+      ("neg", golden.A2_ORDER, golden.A2_NEG)]),
+    ("paper.s7.table8-a4", "A4 comp table matches the reference", "a4", "{0}",
+     [("comp", golden.A4_ORDER, golden.A4_COMP)]),
+    ("paper.s11.table9-a9-diff",
+     "A9 differs from the Z3 complex algebra in exactly 6 comp cells "
+     "plus the documented converse swap", "a9", "{0}",
+     [("comp", golden.Z3_ORDER, golden.A9_COMP), ("conv", golden.Z3_ORDER, golden.A9_CONV)]),
+    ("paper.s12.table10-b10", "B10 comp table matches the reference", "b10", "1'",
+     [("comp", golden.B10_ORDER, golden.B10_COMP)]),
+    ("paper.s14.table11-b9-diff",
+     "B9 differs from D in exactly 4 comp cells plus the documented "
+     "converse swap", "b9", "1'",
+     [("comp", golden.D_ORDER, golden.B9_COMP), ("conv", golden.D_ORDER, golden.B9_CONV)]),
+]
+
+
+def _golden_check(a: FiniteAlgebra, ident: str, comparisons):
+    """The identity's name and every compared cell must match; the first
+    ten mismatches, each located, are the evidence."""
+    bad = [] if a.name_of(a.ident) == ident else [("ident", a.name_of(a.ident), ident)]
+    for table, order, reference in comparisons:
+        compare = golden.compare_vector if table in ("neg", "conv") else golden.compare_table
+        bad += [(table,) + t for t in compare(a, table, order, reference)]
+    return not bad, {"mismatches": bad[:10]}
+
+
 def _golden_claims(models):
-    """Checks for part (a): constructed tables against the frozen reference
-    tables; returns (claim id, description, check fn) triples."""
-    def table_check(model_id, specs):
-        def fn():
-            a = models[model_id]
-            bad = []
-            for table, order, rows, cols in specs:
-                if cols == "vector":
-                    bad += [(table,) + t for t in golden.compare_vector(a, table, order, rows)]
-                else:
-                    bad += [(table,) + t for t in golden.compare_table(a, table, order, rows, cols)]
-            return not bad, {"mismatches": bad[:10]}
-        return fn
-
-    def m3_extra():
-        a = models["m3"]
-        ok1, ev = table_check("m3", [("comp", golden.M3_ORDER, golden.M3_COMP, None)])()
-        ok2 = all(a.conv[i] == i for i in range(a.size)) and a.name_of(a.ident) == "1'"
-        if not ok2:
-            ev["conv-or-ident"] = "wrong"
-        return ok1 and ok2, ev
-
-    def diff_check(model_id, base_id, diff_rows, diff_cols, diff_table,
-                   conv_swap, expect_cells, expect_conv):
-        def fn():
-            a, base = models[model_id], models[base_id]
-            idx = golden.index_map(a)
-            bad = [t for t in golden.compare_table(a, "comp", diff_rows, diff_table, diff_cols)]
-            changed = [(a.names[i], a.names[j]) for i in range(a.size)
-                       for j in range(a.size) if a.comp[i][j] != base.comp[i][j]]
-            conv_changed = [a.names[i] for i in range(a.size) if a.conv[i] != i]
-            p, q = idx[conv_swap[0]], idx[conv_swap[1]]
-            swap_ok = (a.conv[p] == q and a.conv[q] == p and
-                       sorted(conv_changed) == sorted(conv_swap))
-            base_conv_diff = sum(1 for i in range(a.size) if a.conv[i] != base.conv[i])
-            ok = (not bad and len(changed) == expect_cells and swap_ok and
-                  base_conv_diff == expect_conv)
-            return ok, {"mismatches": bad[:10], "changed_comp_cells": changed,
-                        "conv_swap_ok": swap_ok,
-                        "conv_entries_changed_vs_base": base_conv_diff}
-        return fn
-
-    return [
-        ("paper.s3.table1-m3", "M3 operation tables match the reference",
-         m3_extra),
-        ("paper.s3.tables2-3-z3-complex",
-         "Z3 complex algebra comp and conv tables match the reference",
-         table_check("z3c", [
-             ("comp", golden.Z3_ORDER, golden.Z3_COMP, None),
-             ("conv", golden.Z3_ORDER, golden.Z3_CONV, "vector"),
-         ])),
-        ("paper.s3.tables4-5-lyndon-d",
-         "eight-element symmetric algebra D: atom table and full comp table",
-         table_check("d", [
-             ("comp", golden.D_ATOMS, golden.D_ATOM_COMP, None),
-             ("comp", golden.D_ORDER, golden.D_COMP, None),
-             ("conv", golden.D_ORDER, golden.D_ORDER, "vector"),
-         ])),
-        ("paper.s6.table6-a2", "A2 add, comp, and complement tables match",
-         table_check("a2", [
-             ("add", golden.A2_ORDER, golden.A2_ADD, None),
-             ("comp", golden.A2_ORDER, golden.A2_COMP, None),
-             ("neg", golden.A2_ORDER, golden.A2_NEG, "vector"),
-         ])),
-        ("paper.s7.table8-a4", "A4 comp table matches the reference",
-         table_check("a4", [("comp", golden.A4_ORDER, golden.A4_COMP, None)])),
-        ("paper.s11.table9-a9-diff",
-         "A9 differs from the Z3 complex algebra in exactly 6 comp cells "
-         "plus the documented converse swap",
-         diff_check("a9", "z3c", golden.A9_DIFF_ROWS, golden.A9_DIFF_COLS,
-                    golden.A9_DIFF_COMP, golden.A9_CONV_SWAP, 6, 2)),
-        ("paper.s12.table10-b10", "B10 comp table matches the reference",
-         table_check("b10", [("comp", golden.B10_ORDER, golden.B10_COMP, None)])),
-        ("paper.s14.table11-b9-diff",
-         "B9 differs from D in exactly 4 comp cells plus the documented "
-         "converse swap",
-         diff_check("b9", "d", golden.B9_DIFF_ROWS, golden.B9_DIFF_COLS,
-                    golden.B9_DIFF_COMP, golden.B9_CONV_SWAP, 4, 2)),
-    ]
+    """(claim id, description, check fn) for each ``GOLDEN`` row."""
+    return [(cid, desc, lambda mid=mid, ident=ident, comparisons=comparisons:
+             _golden_check(models[mid], ident, comparisons))
+            for cid, desc, mid, ident, comparisons in GOLDEN]
 
 
 def run_verification_suite(include_long_running: bool = False,
                            long_node_limit: int | None = 50_000) -> Report:
+    if long_node_limit is not None:  # raise a bad budget before any claim runs
+        SearchSpec(8, (), node_limit=long_node_limit)
     claims: list[Claim] = []
     models = {mid: build_model(mid) for mid in list_models()}
     # one check_validity per (model object, axiom): every model checked stays

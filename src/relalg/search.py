@@ -63,6 +63,7 @@ only if ``check_validity`` finds it a model (``_is_model``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import permutations, product
@@ -88,6 +89,12 @@ class SearchSpec:
         # tuples, so that they hash, as a plan key's sentences must
         object.__setattr__(self, "must_hold", tuple(self.must_hold))
         object.__setattr__(self, "must_fail", tuple(self.must_fail))
+        try:  # operator.index neither truncates a float nor parses a string
+            object.__setattr__(self, "size", operator.index(self.size))
+            if self.node_limit is not None:
+                object.__setattr__(self, "node_limit", operator.index(self.node_limit))
+        except TypeError:
+            raise ValueError("size and node_limit must be integers") from None
         if self.size < 1:
             raise ValueError("size must be at least 1")
         if self.size > 8:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from relalg import cli
-from relalg.algebra import automorphism_count, from_json, make_algebra, to_json
+from relalg.algebra import automorphism_count, make_algebra
 from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
@@ -27,23 +27,28 @@ class TestRenderModel:
         text = render_model(a)
         assert "1 : 0 1" in text
 
-    def test_structured_is_the_model_file_format(self):
-        a = m3()
-        assert render_model(a, "structured") == to_json(a)
-        assert from_json(render_model(a, "structured")) == a
 
-    def test_unknown_format(self):
-        import pytest
-        with pytest.raises(ValueError):
-            render_model(m3(), "html")
+def _mismatches(claim_id, model_id, bad):
+    """The golden claim's mismatches with ``bad`` in place of the model;
+    the claim must fail."""
+    models = {mid: build_model(mid) for mid in list_models()}
+    models[model_id] = bad
+    ok, evidence = {cid: fn for cid, _, fn in _golden_claims(models)}[claim_id]()
+    assert not ok
+    return evidence["mismatches"]
 
 
 class TestFaultInjection:
-    # (model, claim, corrupted cell, wrong value, right value)
+    # (model, claim, corrupted cell, wrong value, right value); the a9 and
+    # b9 cells lie outside the cells the paper lists as changed
     @pytest.mark.parametrize("model_id, claim_id, row, col, got, want", [
         pytest.param("m3", "paper.s3.table1-m3", "0'", "1'", "1", "0'", id="m3"),
         pytest.param("d", "paper.s3.tables4-5-lyndon-d", "a", "b", "1", "0'",
                      id="d"),
+        pytest.param("a9", "paper.s11.table9-a9-diff", "{1}", "{1}", "{0}", "{2}",
+                     id="a9"),
+        pytest.param("b9", "paper.s14.table11-b9-diff", "a", "b", "1", "0'",
+                     id="b9"),
     ])
     def test_corrupted_comp_cell_is_located(self, model_id, claim_id, row,
                                             col, got, want):
@@ -52,12 +57,22 @@ class TestFaultInjection:
         comp = [list(r) for r in a.comp]
         comp[idx[row]][idx[col]] = idx[got]
         bad = make_algebra(a.size, a.add, a.neg, comp, a.conv, a.ident, a.names)
-        models = {mid: build_model(mid) for mid in list_models()}
-        models[model_id] = bad
-        claims = {cid: fn for cid, _, fn in _golden_claims(models)}
-        ok, evidence = claims[claim_id]()
-        assert not ok
-        assert ("comp", row, col, got, want) in evidence["mismatches"]
+        assert ("comp", row, col, got, want) in _mismatches(claim_id, model_id, bad)
+
+    def test_corrupted_m3_converse_is_located(self):
+        a = m3()
+        idx = {name: i for i, name in enumerate(a.names)}
+        conv = list(a.conv)
+        conv[idx["0'"]] = idx["1"]
+        bad = make_algebra(a.size, a.add, a.neg, a.comp, conv, a.ident, a.names)
+        assert _mismatches("paper.s3.table1-m3", "m3", bad) == \
+            [("conv", "0'", "1", "0'")]
+
+    def test_corrupted_m3_identity_is_located(self):
+        a = m3()
+        bad = make_algebra(a.size, a.add, a.neg, a.comp, a.conv,
+                           a.names.index("1"), a.names)
+        assert _mismatches("paper.s3.table1-m3", "m3", bad) == [("ident", "1", "1'")]
 
     def test_uncorrupted_claim_passes(self):
         models = {mid: build_model(mid) for mid in list_models()}
@@ -152,6 +167,18 @@ class TestBudgetAborts:
         assert report.overall == "inconclusive"
         assert cli.main(["verify-paper"]) == 3
         assert "[INCONCLUSIVE] paper.s6.r2-minimality" in capsys.readouterr().out
+
+
+class TestLongBudget:
+    def test_a_bad_budget_is_rejected_before_any_claim_runs(self, monkeypatch):
+        suite = sys.modules["relalg.report"]
+        built = []
+        monkeypatch.setattr(suite, "build_model", built.append)
+        for limit in (0, -5, 2.5, "100"):
+            with pytest.raises(ValueError):
+                run_verification_suite(include_long_running=True,
+                                       long_node_limit=limit)
+        assert built == []
 
 
 class TestAtSizeClaims:

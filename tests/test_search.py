@@ -61,9 +61,12 @@ class TestEngineBasics:
             SearchSpec(9, (), up_to_iso=True)
         with pytest.raises(ValueError):
             SearchSpec(9, ())
-        for limit in (0, -5):
+        for limit in (0, -5, 2.5):
             with pytest.raises(ValueError):
                 SearchSpec(2, (), node_limit=limit)
+        for size in (2.0, "2"):  # neither truncated nor parsed
+            with pytest.raises(ValueError):
+                SearchSpec(size, ())
         with pytest.raises(ValueError):
             naive_enumerate(SearchSpec(3, ()))
 
