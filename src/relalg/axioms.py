@@ -109,14 +109,10 @@ def semantic_equivalence(a: FiniteAlgebra, hypotheses, s1: str, s2: str):
             return ("not-applicable", h)
     v1 = check_validity(a, axiom_sentence(s1)) is None
     v2 = check_validity(a, axiom_sentence(s2)) is None
-    if v1 == v2:
-        return ("equivalent", None)
-    return ("violated", s1 if not v1 else s2)
+    return ("equivalent", None) if v1 == v2 else ("violated", s1 if not v1 else s2)
 
 
 def exists_right_identity(a: FiniteAlgebra):
     """Some e with r;e = r for all r, or None.  The existential form of R5."""
-    for e in range(a.size):
-        if all(a.comp[r][e] == r for r in range(a.size)):
-            return e
-    return None
+    return next((e for e in range(a.size)
+                 if all(a.comp[r][e] == r for r in range(a.size))), None)

@@ -54,8 +54,7 @@ def _parse_axiom_list(text: str) -> list[str]:
            hi.startswith("R") and hi[1:].isdigit():
             if int(lo[1:]) > int(hi[1:]):
                 raise ValueError(f"reversed axiom range {item!r}")
-            for n in range(int(lo[1:]), int(hi[1:]) + 1):
-                out.append(f"R{n}")
+            out += (f"R{n}" for n in range(int(lo[1:]), int(hi[1:]) + 1))
         else:
             out.append(item)
     return out

@@ -48,10 +48,7 @@ class Report:
     def overall(self) -> str:
         """fail if a claim failed, else inconclusive if one did not finish."""
         statuses = {c.status for c in self.claims}
-        for status in (FAIL, INCONCLUSIVE):
-            if status in statuses:
-                return status
-        return PASS
+        return next((s for s in (FAIL, INCONCLUSIVE) if s in statuses), PASS)
 
     def to_dict(self) -> dict:
         return {
@@ -91,19 +88,11 @@ def render_model(a: FiniteAlgebra) -> str:
     w = max(len(s) for s in names)
     lines = [f"size: {a.size}", f"ident: {names[a.ident]}"]
 
-    def row(label, entries):
-        lines.append(f"{label.ljust(w)} : {' '.join(entries)}")
-
-    for table in ("add", "comp"):
+    for table in ("add", "comp", "neg", "conv"):
         lines.append(f"{table}:")
-        op = getattr(a, table)
-        for i in range(a.size):
-            row(names[i], [names[v] for v in op[i]])
-    for table in ("neg", "conv"):
-        lines.append(f"{table}:")
-        op = getattr(a, table)
-        for i in range(a.size):
-            row(names[i], [names[op[i]]])
+        for i, entry in enumerate(getattr(a, table)):
+            row = entry if table in ("add", "comp") else (entry,)
+            lines.append(f"{names[i].ljust(w)} : {' '.join(names[v] for v in row)}")
     return "\n".join(lines)
 
 

@@ -14,10 +14,11 @@ cell array (``_compile``); regions preset before the search, such as the
 guided search's Boolean part, are read as constants and never watched.
 An instance, that function with one tuple of element values, is an
 integer id into the plan's parallel lists; it is re-checked whenever a
-cell it last read changes, and a violated instance cuts the branch; the
-checker re-subscribes it in place to each cell as it reads it, so a
-recheck allocates nothing.  A search's plan (``_Plan``) holds its preset
-cells, derived rules, decision order, relabelings and root state: the
+cell it last read changes, and a violated instance cuts the branch.  A
+recheck allocates nothing: the checker takes the instance's tuple as one
+argument, so no argument tuple is built, and re-subscribes the instance in
+place to each cell as it reads it.  A search's plan (``_Plan``) holds its
+preset cells, derived rules, decision order, relabelings and root state: the
 instances of each sentence's cached checker (``_checker``) evaluated once on
 the preset cells, less those that hold there and read no other cell.  A run
 starts from a copy of it and evaluates nothing before its first decision;
@@ -144,18 +145,20 @@ def _relabeling(n, perm: tuple):
 
 def _compile(s: Sentence, n: int, names, folded):
     """Compile ``s`` at size ``n`` into ``check(cells, watch, inst, ver,
-    *values)`` (values bound to ``names`` in order), which returns True,
-    False, or None on an undecided cell; it is pure, so searches share it
-    through ``_checker``.  It reads cells in evaluation order and subscribes
-    ``inst``, an instance id, to each as it reads it, the blocking cell
-    included, by ``watch[k][inst] = ver``; cells of the regions whose base
-    offset is in ``folded`` never change and are neither tested nor watched.
-    A repeated subterm is evaluated once.  A quasi-equation is True at its
-    first false antecedent and blocks if any antecedent blocked; a
-    biconditional blocks on its left side before evaluating its right."""
+    values)``, whose first line unpacks the tuple ``values`` into ``names``
+    in order; it returns True, False, or None on an undecided cell, and it
+    is pure, so searches share it through ``_checker``.  It reads cells in
+    evaluation order and subscribes ``inst``, an instance id, to each as it
+    reads it, the blocking cell included, by ``watch[k][inst] = ver``; cells
+    of the regions whose base offset is in ``folded`` never change and are
+    neither tested nor watched.  A repeated subterm is evaluated once.  A
+    quasi-equation is True at its first false antecedent and blocks if any
+    antecedent blocked; a biconditional blocks on its left side before
+    evaluating its right."""
     _, neg0, conv0, add0, comp0, _ = _layout(n)
     args = {name: f"v{i}" for i, name in enumerate(names)}
-    lines = ["def check(cells, watch, inst, ver, " + ", ".join(args.values()) + "):"]
+    lines = ["def check(cells, watch, inst, ver, values):",
+             f"    [{', '.join(args.values())}] = values"]
     memo: dict = {}
     indent, block = "    ", "return None"  # what an undecided cell runs
 
@@ -247,7 +250,7 @@ def _checker(s: Sentence, n: int, preset: tuple):
     check = _compile(s, n, names, folded)
     values = list(product(range(n), repeat=len(names)))
     watch = [{} for _ in preset]  # records each subscription, by position
-    verdicts = [check(preset, watch, i, 0, *v) for i, v in enumerate(values)]
+    verdicts = [check(preset, watch, i, 0, v) for i, v in enumerate(values)]
     subscribed = set().union(*watch)
     kept = [i for i, held in enumerate(verdicts)
             if held is not True or i in subscribed]
@@ -366,7 +369,7 @@ class _Engine:
         for (check, values), i in zip(self.refuters, resume):
             if i is not None:
                 while i < len(values):
-                    held = check(cells, sink, None, 0, *values[i])
+                    held = check(cells, sink, None, 0, values[i])
                     if held is not True:
                         break
                     i += 1
@@ -387,26 +390,23 @@ class _Engine:
         front watcher, often the last culprit there, is rechecked before its
         watch is swapped for a fresh dict, so a repeated culprit fails in
         place, with no rebuild."""
+        cells, watch, derived_by_dep = self.cells, self.watch, self.derived_by_dep
         queue = [cell]
-        self.cells[cell] = value
+        cells[cell] = value
         trail.append(cell)
-        qi = 0
-        while qi < len(queue):
-            c = queue[qi]
-            qi += 1
-            for target, deps in self.derived_by_dep.get(c, ()):
+        for c in queue:  # a list iterator also reaches the targets appended
+            for target, deps in derived_by_dep.get(c, ()):
                 acc = 0
                 for d in deps:
-                    v = self.cells[d]
+                    v = cells[d]
                     if v is None:
                         acc = None
                         break
                     acc |= v
                 if acc is not None:
-                    self.cells[target] = acc
+                    cells[target] = acc
                     trail.append(target)
                     queue.append(target)
-        cells, watch = self.cells, self.watch
         checks, values, version = self.checks, self.values, self.version
         self.stamp = stamp = self.stamp + 1
         rechecks = 0
@@ -418,28 +418,28 @@ class _Engine:
             if watchers[inst] == version[inst] != stamp:
                 version[inst] = stamp
                 rechecks += 1
-                if checks[inst](cells, watch, inst, stamp, *values[inst]) is False:
+                if checks[inst](cells, watch, inst, stamp, values[inst]) is False:
                     # the order a rebuild would give; the stamp is set even
                     # if the check, through a derived cell, did not read c
                     watchers[inst] = stamp
                     self.rechecks += rechecks
                     self.conflicts[self.owner[inst]] += 1
                     return False
-            watch[c] = {}
+            watch[c] = kept = {}
             entries = iter(watchers.items())
             for inst, ver in entries:
                 if ver != version[inst]:
                     continue
                 if ver == stamp:  # rechecked at an earlier cell of this step
-                    watch[c][inst] = stamp
+                    kept[inst] = stamp
                     continue
                 version[inst] = stamp
                 rechecks += 1
-                if checks[inst](cells, watch, inst, stamp, *values[inst]) is False:
+                if checks[inst](cells, watch, inst, stamp, values[inst]) is False:
                     # the culprit first, then the watchers rechecked before
                     # it, then those not reached with their old subscriptions
                     fresh = {inst: stamp}
-                    fresh.update(watch[c])
+                    fresh.update(kept)
                     fresh.update(entries)
                     watch[c] = fresh
                     self.rechecks += rechecks
@@ -449,8 +449,9 @@ class _Engine:
         return True
 
     def undo(self, trail):
+        cells = self.cells
         for c in trail:
-            self.cells[c] = None
+            cells[c] = None
 
     def snapshot(self) -> FiniteAlgebra:
         p, cells = self.plan, self.cells
@@ -671,7 +672,6 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
     n = spec.size
     if n > 2:
         raise ValueError("naive_enumerate limited to size <= 2")
-    count = 0
     models = []
     vectors = list(product(range(n), repeat=n))
     matrices = list(product(vectors, repeat=n))
@@ -683,10 +683,9 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
                     for ident in range(n):
                         alg = make_algebra(n, add, neg, comp, conv, ident)
                         if _is_model(alg, spec):
-                            count += 1
                             models.append(alg)
     iso = len({canonical_form(m) for m in models})
-    return SearchResult(models, count, iso, True, tables)
+    return SearchResult(models, len(models), iso, True, tables)
 
 
 # --- the search a problem goes to -----------------------------------------

@@ -21,53 +21,74 @@ from itertools import product
 from .algebra import FiniteAlgebra, derived_element
 
 
+def _node(cls):
+    """``cls`` as a frozen dataclass that keeps the hash its first ``hash()``
+    computes, which would otherwise recurse through every node on each
+    lookup of a sentence.  Pickled state leaves the kept hash out, since
+    ``str`` hashes differ between processes."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", field_hash(self))
+            return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
 class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class IdentConst(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ZeroConst(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class OneConst(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Term):
     child: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Conv(Term):
     child: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Comp(Term):
     left: Term
     right: Term
@@ -77,13 +98,13 @@ class Sentence:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Equation(Sentence):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Inclusion(Sentence):
     """lhs <= rhs, sugar for lhs + rhs = rhs."""
 
@@ -91,7 +112,7 @@ class Inclusion(Sentence):
     rhs: Term
 
 
-@dataclass(frozen=True)
+@_node
 class QuasiEquation(Sentence):
     """antecedents jointly imply the consequent, per assignment."""
 
@@ -99,7 +120,7 @@ class QuasiEquation(Sentence):
     consequent: Sentence
 
 
-@dataclass(frozen=True)
+@_node
 class Biconditional(Sentence):
     left: Sentence
     right: Sentence
@@ -316,17 +337,12 @@ def free_vars(x) -> set[str]:
         return set()
     if isinstance(x, (Neg, Conv)):
         return free_vars(x.child)
-    if isinstance(x, (Add, Meet, Comp)):
+    if isinstance(x, (Add, Meet, Comp, Biconditional)):
         return free_vars(x.left) | free_vars(x.right)
     if isinstance(x, (Equation, Inclusion)):
         return free_vars(x.lhs) | free_vars(x.rhs)
     if isinstance(x, QuasiEquation):
-        out = free_vars(x.consequent)
-        for a in x.antecedents:
-            out |= free_vars(a)
-        return out
-    if isinstance(x, Biconditional):
-        return free_vars(x.left) | free_vars(x.right)
+        return free_vars(x.consequent).union(*map(free_vars, x.antecedents))
     raise TypeError(f"not a term or sentence: {x!r}")
 
 

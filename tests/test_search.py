@@ -3,7 +3,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -306,10 +306,10 @@ class TestCompiledChecker:
             for values in product(range(n), repeat=len(names)):
                 want = holds(a, s, dict(zip(names, values)))
                 watch = _Recorder()
-                assert plain(cells, watch, None, 0, *values) is want, (text, values)
+                assert plain(cells, watch, None, 0, values) is want, (text, values)
                 assert watch.reads
                 watch = _Recorder()
-                assert folded(cells, watch, None, 0, *values) is want, (text, values)
+                assert folded(cells, watch, None, 0, values) is want, (text, values)
                 assert watch.reads == []
 
     def test_watch_holds_each_instance_once(self, monkeypatch):
@@ -357,7 +357,7 @@ class TestCompiledChecker:
 
         def spy(eng):
             for inst, (check, values) in enumerate(zip(eng.checks, eng.values)):
-                held = check(eng.cells, _Recorder(), inst, 0, *values)
+                held = check(eng.cells, _Recorder(), inst, 0, values)
                 assert held is True, inst
             leaves.append(eng)
             return snapshot(eng)
@@ -381,10 +381,10 @@ class TestCompiledChecker:
         def counting_compile(*args):
             check = compile_(*args)
 
-            def counted(cells, watch, inst, ver, *values):
+            def counted(cells, watch, inst, ver, values):
                 if inst is not None:
                     checked.append(inst)
-                return check(cells, watch, inst, ver, *values)
+                return check(cells, watch, inst, ver, values)
             return counted
 
         def spy_set_cell(eng, *args):
@@ -418,7 +418,7 @@ class TestCompiledChecker:
             checked.append(eng)
             for inst, (check, values) in enumerate(zip(eng.checks, eng.values)):
                 watch = _Recorder()
-                check(eng.cells, watch, inst, 0, *values)
+                check(eng.cells, watch, inst, 0, values)
                 for k in watch.reads:
                     assert eng.watch[k].get(inst) == eng.version[inst], (inst, k)
 
@@ -449,18 +449,18 @@ class TestCompiledChecker:
         bicond = _compile(parse_sentence("r;s = r <-> r+s = r"), n, ["r", "s"], set())
         for r, s, t in product(range(n), repeat=3):
             watch = _Recorder()
-            assert r4(cells, watch, None, 0, r, s, t) is None
+            assert r4(cells, watch, None, 0, (r, s, t)) is None
             # r;(s;t) reads s;t first, and nothing after it
             assert watch.reads == [comp0 + s * n + t]
         for r, s in product(range(n), repeat=2):
             # a blocked antecedent does not stop a later false one
             watch = _Recorder()
             want = True if a.add[r][s] != r else None
-            assert quasi(cells, watch, None, 0, r, s) is want
+            assert quasi(cells, watch, None, 0, (r, s)) is want
             assert comp0 + r * n + s in watch.reads
             # a blocked left side is not followed by the right side
             watch = _Recorder()
-            assert bicond(cells, watch, None, 0, r, s) is None
+            assert bicond(cells, watch, None, 0, (r, s)) is None
             assert watch.reads == [comp0 + r * n + s]
 
 
@@ -515,7 +515,7 @@ def _every_instance_evaluated(plan, sentences):
         names = sorted(free_vars(s))
         check = _compile(s, n, names, folded)
         for values in product(range(n), repeat=len(names)):
-            held = check(cells, watch, (i, values), 0, *values)
+            held = check(cells, watch, (i, values), 0, values)
             verdict = verdict and held is not False
             if held is True and all((i, values) not in w for w in watch):
                 free.add((i, values))
@@ -562,6 +562,21 @@ class TestCheckerCache:
             _, _, free = _every_instance_evaluated(plan, (s,))
             every = product(range(spec.size), repeat=len(free_vars(s)))
             assert list(values) == [v for v in every if (0, v) not in free]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_instance_values_fit_their_checker(self, name, monkeypatch):
+        # the engine passes an instance's values to its checker unchanged,
+        # and the checker unpacks them into the sentence's free variables
+        runner, spec, *_ = PINNED_COUNTS[name]
+        plan = _plan_of(runner, spec, monkeypatch)
+        arity = [len(free_vars(s)) for s in spec.must_hold]
+        assert plan.values and len(plan.values) == len(plan.owner)
+        assert all(type(v) is tuple and len(v) == arity[i]
+                   for v, i in zip(plan.values, plan.owner))
+        assert len(plan.refuters) == len(spec.must_fail)
+        for s, (_, values) in zip(spec.must_fail, plan.refuters):
+            assert all(type(v) is tuple and len(v) == len(free_vars(s))
+                       for v in values)
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_warm_cache_changes_nothing(self, name, monkeypatch):
@@ -648,6 +663,52 @@ class TestCheckerCache:
         assert iso.symmetry_cuts > 0 and labeled.symmetry_cuts == 0
         for res in (iso, labeled):
             assert (res.iso_class_count, res.labeled_count) == (classes, labelings)
+
+
+def _nodes(x):
+    """Every term and sentence node of ``x``, ``x`` first."""
+    yield x
+    for f in fields(x):
+        value = getattr(x, f.name)
+        for child in value if type(value) is tuple else (value,):
+            if not isinstance(child, str):
+                yield from _nodes(child)
+
+
+class TestSentenceHash:
+    # every plan lookup hashes its sentences; each node keeps the hash its
+    # first hash() computes, and a pickled node leaves it behind
+    SENTENCES = (*AXIOM_TEXT.values(), *EXTRA_SENTENCES)
+
+    @pytest.mark.parametrize("text", SENTENCES)
+    def test_separate_parses_are_equal_and_hash_equal(self, text):
+        a, b = parse_sentence(text), parse_sentence(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert [hash(x) for x in _nodes(a)] == [hash(x) for x in _nodes(b)]
+
+    @pytest.mark.parametrize("text", SENTENCES)
+    def test_second_hash_does_not_recurse(self, text):
+        s = parse_sentence(text)
+        first, calls = hash(s), []
+        profile = sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: event == "call"
+                       and calls.append(frame.f_code.co_name))
+        try:
+            second = hash(s)
+        finally:
+            sys.setprofile(profile)
+        assert second == first
+        assert calls.count("__hash__") == 1  # the node's own, no child's
+
+    @pytest.mark.parametrize("text", SENTENCES)
+    def test_pickled_sentence_carries_no_cached_hash(self, text):
+        s = parse_sentence(text)
+        hash(s)
+        assert all("_hash" in vars(x) for x in _nodes(s))
+        sent = pickle.loads(pickle.dumps(s))
+        assert sent == s
+        assert not any("_hash" in vars(x) for x in _nodes(sent))
+        assert hash(sent) == hash(s)
 
 
 # specs for the up-to-iso against labeled cross-check: (runner, spec, nodes
