@@ -13,15 +13,14 @@ from .algebra import (AlgebraError, FiniteAlgebra, atoms, automorphism_count,
 from .terms import (EvalError, ParseError, Sentence, Term, check_validity,
                     eval_term, free_vars, holds, parse_sentence, parse_term,
                     sentence_to_str, term_to_str)
-from .axioms import (AXIOM_IDS, AXIOM_TEXT, R_SYS, S_SYS, SYSTEMS, TARSKI,
-                     AxiomError, atom_form_r11, axiom_sentence,
+from .axioms import (AXIOM_IDS, AXIOM_TEXT, BOOLEAN, R_SYS, S_SYS, SYSTEMS,
+                     TARSKI, AxiomError, atom_form_r11, axiom_sentence,
                      exists_right_identity, failing_axioms,
-                     is_independence_model, satisfies, semantic_equivalence,
-                     status_vector)
+                     is_independence_model, satisfies, status_vector)
 from .catalog import (MODEL_BUILDERS, GroupSpec, PartialGroupoidSpec,
-                      boolean_group, boolean_ra, build_model,
-                      complex_of_partial_groupoid, cyclic_group, group_complex,
-                      list_models, lyndon_d, m3, parse_model_id, z3_complex)
+                      boolean_group, boolean_ra, build_model, cyclic_group,
+                      group_complex, list_models, lyndon_d, m3, parse_model_id,
+                      z3_complex)
 from .search import (SearchResult, SearchSpec, boolean_guided_search,
                      naive_enumerate, search)
 from .report import Claim, Report, render_model, run_verification_suite
@@ -38,15 +37,14 @@ __all__ = [
     "eval_term", "free_vars", "holds", "parse_sentence", "parse_term",
     "sentence_to_str", "term_to_str",
     # axioms
-    "AXIOM_IDS", "AXIOM_TEXT", "R_SYS", "S_SYS", "SYSTEMS", "TARSKI",
-    "AxiomError", "atom_form_r11", "axiom_sentence", "exists_right_identity",
-    "failing_axioms", "is_independence_model", "satisfies",
-    "semantic_equivalence", "status_vector",
+    "AXIOM_IDS", "AXIOM_TEXT", "BOOLEAN", "R_SYS", "S_SYS", "SYSTEMS",
+    "TARSKI", "AxiomError", "atom_form_r11", "axiom_sentence",
+    "exists_right_identity", "failing_axioms", "is_independence_model",
+    "satisfies", "status_vector",
     # catalog
     "MODEL_BUILDERS", "GroupSpec", "PartialGroupoidSpec", "boolean_group",
-    "boolean_ra", "build_model", "complex_of_partial_groupoid", "cyclic_group",
-    "group_complex", "list_models", "lyndon_d", "m3", "parse_model_id",
-    "z3_complex",
+    "boolean_ra", "build_model", "cyclic_group", "group_complex",
+    "list_models", "lyndon_d", "m3", "parse_model_id", "z3_complex",
     # search
     "SearchResult", "SearchSpec", "boolean_guided_search", "naive_enumerate",
     "search",

@@ -38,9 +38,10 @@ AXIOM_TEXT = {
 
 AXIOM_IDS = tuple(AXIOM_TEXT)
 
+BOOLEAN = ("R1", "R2", "R3")  # they force a Boolean algebra
 TARSKI = tuple(f"R{n}" for n in range(1, 11))
-R_SYS = ("R1", "R2", "R3", "R4", "R5", "R6", "R8p", "R9", "R10")
-S_SYS = ("R1", "R2", "R3", "R4", "R5", "R6", "R8", "R8p", "R10")
+R_SYS = BOOLEAN + ("R4", "R5", "R6", "R8p", "R9", "R10")
+S_SYS = BOOLEAN + ("R4", "R5", "R6", "R8", "R8p", "R10")
 
 SYSTEMS = {"tarski": TARSKI, "r": R_SYS, "s": S_SYS}
 
@@ -85,7 +86,7 @@ def atom_form_r11(a: FiniteAlgebra):
     Requires the Boolean axioms to hold (else atoms have no stable meaning).
     Returns None when valid, otherwise a falsifying atom triple (r, s, t).
     """
-    if not satisfies(a, ("R1", "R2", "R3")):
+    if not satisfies(a, BOOLEAN):
         raise AxiomError("atom form of R11 needs R1-R3 to hold")
     ats = atoms(a)
     for r in ats:
@@ -94,22 +95,6 @@ def atom_form_r11(a: FiniteAlgebra):
                 if leq(a, s, a.comp[a.conv[r]][t]) and not leq(a, t, a.comp[r][s]):
                     return (r, s, t)
     return None
-
-
-def semantic_equivalence(a: FiniteAlgebra, hypotheses, s1: str, s2: str):
-    """Check one of the paper-style equivalences on a single finite model.
-
-    Returns ("not-applicable", failing-hypothesis) when some hypothesis
-    fails in ``a``, ("equivalent", None) when s1 and s2 agree, and
-    ("violated", side) when they disagree -- which on any algebra would
-    contradict the corresponding derivation, so callers treat it as fatal.
-    """
-    for h in hypotheses:
-        if check_validity(a, axiom_sentence(h)) is not None:
-            return ("not-applicable", h)
-    v1 = check_validity(a, axiom_sentence(s1)) is None
-    v2 = check_validity(a, axiom_sentence(s2)) is None
-    return ("equivalent", None) if v1 == v2 else ("violated", s1 if not v1 else s2)
 
 
 def exists_right_identity(a: FiniteAlgebra):

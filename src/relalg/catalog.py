@@ -70,8 +70,8 @@ def cyclic_group(n: int) -> GroupSpec:
 
 def boolean_group(k: int) -> GroupSpec:
     """Elementary abelian 2-group of order 2**k (every element self-inverse)."""
-    if k > MAX_ATOMS:
-        raise AlgebraError(f"at most {MAX_ATOMS} generators, got {k}")
+    if not 0 <= k <= MAX_ATOMS:
+        raise AlgebraError(f"at most {MAX_ATOMS} generators and none negative, got {k}")
     n = 1 << k
     mul = tuple(tuple(i ^ j for j in range(n)) for i in range(n))
     return GroupSpec(n, mul, tuple(range(n)), 0)
@@ -91,8 +91,8 @@ def _complex_algebra(k, atom_comp, atom_conv, ident, names) -> FiniteAlgebra:
     """The algebra of all subsets of k atoms: + is union, - is complement,
     and ; and ^ extend additively from the atoms, where atom_comp[f][h] and
     atom_conv[f] are bitmasks of atoms; ``names`` is read after k is checked."""
-    if k > MAX_ATOMS:
-        raise AlgebraError(f"at most {MAX_ATOMS} atoms, got {k}")
+    if not 0 <= k <= MAX_ATOMS:
+        raise AlgebraError(f"at most {MAX_ATOMS} atoms and none negative, got {k}")
     n = 1 << k
     atom_rows = [_unions(row, n) for row in atom_comp]  # atom_rows[f][y] = f;y
     cols = [_unions([row[y] for row in atom_rows], n) for y in range(n)]
@@ -114,9 +114,6 @@ def group_complex(g: GroupSpec | PartialGroupoidSpec) -> FiniteAlgebra:
                             1 << g.unit, names)
 
 
-complex_of_partial_groupoid = group_complex
-
-
 def _boolean_names(k: int):
     for mask in range(1 << k):
         if mask == 0:
@@ -131,7 +128,7 @@ def boolean_ra(k: int = 1) -> FiniteAlgebra:
     """Boolean relation algebra on 2**k elements: r;s = r.s, r^ = r, 1' = 1."""
     atoms = [1 << f for f in range(k)]
     atom_comp = [[p if p == q else 0 for q in atoms] for p in atoms]
-    return _complex_algebra(k, atom_comp, atoms, (1 << k) - 1, _boolean_names(k))
+    return _complex_algebra(k, atom_comp, atoms, sum(atoms), _boolean_names(k))
 
 
 def m3() -> FiniteAlgebra:
@@ -199,7 +196,7 @@ def mckinsey_partial_groupoid() -> PartialGroupoidSpec:
 
 def a4() -> FiniteAlgebra:
     """Breaks R4: McKinsey's complex algebra of a partial groupoid."""
-    return complex_of_partial_groupoid(mckinsey_partial_groupoid())
+    return group_complex(mckinsey_partial_groupoid())
 
 
 def a5(k: int = 1, ident: int = 1) -> FiniteAlgebra:
@@ -320,7 +317,7 @@ def b10() -> FiniteAlgebra:
     """Breaks R10: M3 with relative multiplication by 0' forced to 0' and
     0;1 = 1;0 = 0'."""
     base = m3()
-    diver = 2
+    diver = derived_element(base, "diversity")
     comp = [list(row) for row in base.comp]
     for r in range(4):
         comp[r][diver] = diver
@@ -378,10 +375,12 @@ def parse_model_id(text: str):
     for item in items:
         if not item:
             continue
-        key, sep, value = item.partition("=")
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
             raise AlgebraError(f"malformed parameter {item!r} in {text!r}")
-        kwargs[key.strip()] = value.strip()
+        if key in kwargs:
+            raise AlgebraError(f"parameter {key!r} given twice in {text!r}")
+        kwargs[key] = value
     return name, kwargs
 
 
@@ -396,6 +395,8 @@ def build_model(model_id: str) -> FiniteAlgebra:
     for key, value in kwargs.items():
         if key not in inspect.signature(builder).parameters:
             raise AlgebraError(f"model {name!r} has no parameter {key!r}")
+        if key != "base" and not value.removeprefix("-").isdecimal():
+            raise AlgebraError(f"parameter {key!r} of {name!r} is not an integer: {value!r}")
         kwargs[key] = build_model(value) if key == "base" else int(value)
     return builder(**kwargs)
 

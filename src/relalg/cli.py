@@ -18,7 +18,8 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
-from .report import _named_env, render_model, run_verification_suite
+from .report import (INCONCLUSIVE, PASS, _named_env, render_model,
+                     run_verification_suite)
 from .search import SearchSpec, _search_for
 from .terms import EvalError, ParseError, eval_term, parse_term
 
@@ -201,7 +202,7 @@ def cmd_verify_paper(args) -> int:
         print(json.dumps(report.to_dict(), indent=1))
     else:
         print(report.render())
-    return {"pass": 0, "inconclusive": 3}.get(report.overall, 1)
+    return {PASS: 0, INCONCLUSIVE: 3}.get(report.overall, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

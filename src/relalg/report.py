@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism
-from .axioms import (R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
+from .axioms import (BOOLEAN, R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
 from .search import SearchSpec, _search_for, boolean_guided_search
@@ -167,14 +167,14 @@ LEMMAS = [
     ("paper.s13.r10-equiv-r11p",
      "with the Boolean axioms, converse involution, and left "
      "distributivity, R10 and R11p agree on every model",
-     ("R1", "R2", "R3", "R6", "R8p"), ("R10", "R11p"), True),
+     BOOLEAN + ("R6", "R8p"), ("R10", "R11p"), True),
     ("paper.s13.r8-equiv-r8p",
      "with R6, R7, R9, the two distributive laws agree on every model",
      ("R6", "R7", "R9"), ("R8", "R8p"), True),
     ("paper.s13.implies-r7", "R1-R5 with R11p force R7 on every model",
-     ("R1", "R2", "R3", "R4", "R5", "R11p"), ("R7",), False),
+     BOOLEAN + ("R4", "R5", "R11p"), ("R7",), False),
     ("paper.s15.implies-r9", "R1-R3, R5, R8 with R11p force R9 on every model",
-     ("R1", "R2", "R3", "R5", "R8", "R11p"), ("R9",), False),
+     BOOLEAN + ("R5", "R8", "R11p"), ("R9",), False),
     ("paper.s13.rsys-implies-r7-r8",
      "every model of the reduced system also satisfies R7 and R8",
      R_SYS, ("R7", "R8"), False),

@@ -71,7 +71,7 @@ from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
                       make_algebra)
-from .axioms import axiom_sentence
+from .axioms import BOOLEAN, axiom_sentence
 from .terms import (Add, Biconditional, Comp, Conv, Equation, IdentConst,
                     Inclusion, Meet, Neg, OneConst, QuasiEquation, Sentence,
                     Var, ZeroConst, check_validity, free_vars)
@@ -616,9 +616,8 @@ def boolean_guided_search(spec: SearchSpec) -> SearchResult:
     least mask of each atom count (0, 1, 3, 7, ...).  They map atoms to
     atoms and composites to composites, so they keep every rule.
     """
-    for rid in ("R1", "R2", "R3"):
-        if axiom_sentence(rid) not in spec.must_hold:
-            raise ValueError("boolean_guided_search needs R1, R2, R3 in must_hold")
+    if any(axiom_sentence(i) not in spec.must_hold for i in BOOLEAN):
+        raise ValueError("boolean_guided_search needs R1, R2, R3 in must_hold")
     n = spec.size
     if n & (n - 1):
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold))
@@ -647,11 +646,10 @@ def _guided_rules(n, must_hold):
     return preset, derived, _atom_relabelings(n)
 
 
-@cache
 def _atom_relabelings(n):
     """The relabelings by the nontrivial permutations of the atoms of the
     bitmask Boolean algebra, extended by OR over atoms: every automorphism
-    of the Boolean part but the identity.  Built once per size; read-only."""
+    of the Boolean part but the identity.  Built once per plan."""
     k = (n - 1).bit_length()
     perms = [tuple(sum(1 << images[b] for b in range(k) if x >> b & 1)
                    for x in range(n)) for images in permutations(range(k))]
@@ -696,5 +694,5 @@ def _search_for(spec: SearchSpec):
     and holds R1-R3, else ``search``.  A labeled run stays generic, since
     the guided search's ``models`` lists only the bitmask labelings."""
     guided = spec.up_to_iso and all(axiom_sentence(i) in spec.must_hold
-                                    for i in ("R1", "R2", "R3"))
+                                    for i in BOOLEAN)
     return boolean_guided_search if guided else search

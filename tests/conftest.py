@@ -16,11 +16,17 @@ import relalg  # noqa: F401  (loads relalg.search)
 NODE_BUDGET = 20_000
 
 
+@pytest.fixture(scope="session")
+def engine():
+    """The search module.  The function ``relalg.search`` shadows it in the
+    package namespace, so ``import relalg.search as S`` binds the function."""
+    return sys.modules["relalg.search"]
+
+
 @pytest.fixture(scope="session", autouse=True)
-def node_budget():
+def node_budget(engine):
     # session scope: module-scoped fixtures, such as test_report's
     # budget-cut report, run before any function-scoped one
-    engine = sys.modules["relalg.search"]  # relalg.search is the function
     run = engine._run
 
     def budgeted(spec, *rest):

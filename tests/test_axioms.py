@@ -3,10 +3,8 @@ import pytest
 from relalg.axioms import (AXIOM_IDS, AXIOM_TEXT, R_SYS, S_SYS, TARSKI,
                            AxiomError, atom_form_r11, axiom_sentence,
                            exists_right_identity, failing_axioms,
-                           is_independence_model, satisfies,
-                           semantic_equivalence, status_vector)
-from relalg.catalog import (a2, a3, a4, a5, a6, a10, b5, boolean_ra, m3,
-                            z3_complex)
+                           is_independence_model, satisfies, status_vector)
+from relalg.catalog import a2, a3, a4, a5, a10, b5, boolean_ra, m3, z3_complex
 from relalg.terms import free_vars, parse_sentence, sentence_to_str
 
 
@@ -66,26 +64,6 @@ class TestAtomFormR11:
     def test_requires_boolean_axioms(self):
         with pytest.raises(AxiomError):
             atom_form_r11(a3())
-
-
-class TestSemanticEquivalence:
-    HYPS = ("R1", "R2", "R3", "R6", "R8p")
-
-    def test_equivalent_when_both_valid(self):
-        assert semantic_equivalence(m3(), self.HYPS, "R10", "R11p") == \
-            ("equivalent", None)
-
-    def test_equivalent_when_both_fail(self):
-        # a10 satisfies the hypotheses while R10 fails, so R11p must fail too
-        a = a10()
-        assert not satisfies(a, ("R10",))
-        assert semantic_equivalence(a, self.HYPS, "R10", "R11p") == \
-            ("equivalent", None)
-
-    def test_not_applicable(self):
-        verdict, culprit = semantic_equivalence(a6(), ("R6",), "R8", "R8p")
-        assert verdict == "not-applicable"
-        assert culprit == "R6"
 
 
 class TestR10VersusItsInequalityForm:

@@ -8,10 +8,10 @@ from relalg.axioms import TARSKI, is_independence_model, satisfies
 from relalg.catalog import (MAX_ATOMS, GroupSpec, PartialGroupoidSpec, a1,
                             a2, a3, a4, a5, a6, a7, a8, a9, a10, b5, b9, b10,
                             boolean_group, boolean_ra, build_model,
-                            complex_of_partial_groupoid, cyclic_group,
-                            group_complex, is_symmetric_integral, list_models,
-                            lyndon_d, m3, mckinsey_partial_groupoid,
-                            parse_model_id, z3_complex)
+                            cyclic_group, group_complex, is_symmetric_integral,
+                            list_models, lyndon_d, m3,
+                            mckinsey_partial_groupoid, parse_model_id,
+                            z3_complex)
 
 
 class TestSpecs:
@@ -59,7 +59,7 @@ class TestComplexAlgebras:
         assert a.conv[0b010] == 0b100         # {1}^ = {2}
 
     def test_partial_groupoid_complex_drops_undefined_products(self):
-        a = complex_of_partial_groupoid(mckinsey_partial_groupoid())
+        a = group_complex(mckinsey_partial_groupoid())
         assert a.comp[0b010][0b100] == 0      # 1*2 undefined -> empty set
 
     def test_boolean_ra(self):
@@ -134,7 +134,7 @@ COMPLEX_CASES = {
     **{f"boolean_group{k}": (lambda k=k: group_complex(boolean_group(k)),
                              _group_atoms(boolean_group(k))) for k in range(1, 4)},
     "s3": (lambda: group_complex(_s3()), _group_atoms(_s3())),
-    "mckinsey": (lambda: complex_of_partial_groupoid(mckinsey_partial_groupoid()),
+    "mckinsey": (lambda: group_complex(mckinsey_partial_groupoid()),
                  _group_atoms(mckinsey_partial_groupoid())),
     **{f"bra{k}": (lambda k=k: boolean_ra(k),
                    _symmetric_atoms(k, _BOOLEAN, set(range(k)))) for k in range(1, 4)},
@@ -223,11 +223,18 @@ class TestParameterization:
 
     @pytest.mark.parametrize("model_id", [
         "bra[k=9]", "bra[k=40]", "a1[k=40]", "a3[k=40]", "a5[k=40]",
-        "a7[k=40]", "a10[k=40]"])
+        "a7[k=40]", "a10[k=40]", "bra[k=-1]", "a3[k=-1]", "a5[k=-1]",
+        "a10[k=-1]"])
     def test_atom_count_is_capped(self, model_id):
-        # 2**k elements, each table 4**k entries: refused before it is built
+        # 2**k elements, each table 4**k entries: refused before it is built;
+        # a negative k is refused by the same check
         with pytest.raises(AlgebraError, match=f"at most {MAX_ATOMS} "):
             build_model(model_id)
+
+    @pytest.mark.parametrize("k", [-1, MAX_ATOMS + 1])
+    def test_generator_count_is_capped(self, k):
+        with pytest.raises(AlgebraError, match=f"at most {MAX_ATOMS} generators"):
+            boolean_group(k)
 
     def test_largest_atom_count_builds(self):
         assert build_model(f"bra[k={MAX_ATOMS}]").size == 256
@@ -299,6 +306,10 @@ class TestRegistry:
             build_model("a7[x=1]")
         with pytest.raises(AlgebraError, match="'k'"):
             build_model("z3c[k=1]")
+        # a repeated parameter, or one that is not an integer
+        for model_id in ("a7[k=2,k=3]", "a7[k=3x]", "a7[k=]", "a7[k=1.5]"):
+            with pytest.raises(AlgebraError, match="'k'"):
+                build_model(model_id)
 
     def test_every_listed_model_builds(self):
         for mid in list_models():

@@ -229,6 +229,11 @@ class TestCommands:
         code, _, err = run(capsys, "show", "a8[base=a7[k=2]")
         assert code == 2
         assert "unbalanced" in err
+        for model_id, message in (("a7[k=2,k=3]", "'k' given twice"),
+                                  ("a7[k=3x]", "'k' of 'a7' is not an integer"),
+                                  ("bra[k=-1]", "none negative")):
+            code, out, err = run(capsys, "show", model_id)
+            assert code == 2 and out == "" and message in err
 
     def test_nested_model_id(self, capsys):
         code, out, _ = run(capsys, "show", "a6[base=bra[k=2]]", "--json")

@@ -8,10 +8,11 @@ from relalg import cli
 from relalg.algebra import automorphism_count, make_algebra
 from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
-from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, Claim,
-                           Report, _golden_claims, _lemma, render_model,
-                           run_verification_suite)
+from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, LEMMAS,
+                           Claim, Report, _golden_claims, _lemma,
+                           render_model, run_verification_suite)
 from relalg.search import SearchResult
+from relalg.terms import check_validity
 
 
 class TestRenderModel:
@@ -146,9 +147,8 @@ class TestBudgetAborts:
         assert cli.main(["verify-paper", "--long", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
 
-    def test_a_cut_search_is_never_a_failure(self, capsys, monkeypatch):
+    def test_a_cut_search_is_never_a_failure(self, capsys, engine, monkeypatch):
         # every search without a budget of its own stops after 5 nodes
-        engine = sys.modules["relalg.search"]
         run = engine._run
 
         def budgeted(spec, *rest):
@@ -287,3 +287,20 @@ class TestLemma:
             (True, {"population": 2, "applicable": 2})
         assert _lemma(verdict, population, ("R8",), ("R7",)) == \
             (True, {"population": 3, "applicable": 1})
+
+    # the first LEMMAS row (R10 against R11p) on one model each, and a
+    # model where a hypothesis fails
+    @pytest.mark.parametrize("model_id, hypotheses, conclusions, failing, applicable", [
+        ("m3", *LEMMAS[0][2:4], [], 1),
+        ("a10", *LEMMAS[0][2:4], ["R10", "R11p"], 1),
+        ("a6", ("R6",), ("R8", "R8p"), [], 0)],
+        ids=["both-hold", "both-fail", "not-applicable"])
+    def test_agreement_on_one_model(self, model_id, hypotheses, conclusions,
+                                    failing, applicable):
+        a = build_model(model_id)
+        assert failing_axioms(status_vector(a, conclusions)) == failing
+
+        def verdict(a, axiom_id):
+            return check_validity(a, axiom_sentence(axiom_id))
+        assert _lemma(verdict, [(model_id, a)], hypotheses, conclusions, agree=True) \
+            == (True, {"population": 1, "applicable": applicable})

@@ -9,9 +9,9 @@ from itertools import product
 import pytest
 
 from relalg.algebra import (automorphism_count, canonical_form,
-                            find_isomorphism, relabel)
+                            find_isomorphism, make_algebra, relabel)
 from relalg.axioms import (AXIOM_TEXT, R_SYS, S_SYS, TARSKI, axiom_sentence,
-                           satisfies)
+                           failing_axioms, satisfies, status_vector)
 from relalg.catalog import a2, a7, build_model, list_models
 from relalg.report import run_verification_suite
 from relalg.search import (SearchSpec, _checker, _compile, _generic_rules,
@@ -148,11 +148,10 @@ class TestGuidedOracleCrossChecks:
     (search, ORACLE_SPECS[1], "R3"),
     (boolean_guided_search, GUIDED_ORACLE_SPECS[0], "R10")])
 def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
-                                                 monkeypatch):
+                                                 engine, monkeypatch):
     # a checker that reads one sentence's False as True breaks the
     # propagating run; the reference compiles and lays out nothing, so it
     # still agrees with the brute-force oracle
-    engine = sys.modules["relalg.search"]
     compile_, compiled = engine._compile, []
 
     def breaking(s, *args):
@@ -312,13 +311,12 @@ class TestCompiledChecker:
                 assert folded(cells, watch, None, 0, values) is want, (text, values)
                 assert watch.reads == []
 
-    def test_watch_holds_each_instance_once(self, monkeypatch):
+    def test_watch_holds_each_instance_once(self, engine, monkeypatch):
         # a recheck re-subscribes its instance to every cell it read; the
         # cell must replace the instance's old entry rather than add one.
         # The must-fail scans, which pass no instance, subscribe nowhere in
         # the engine's watch, or a recheck would count their False as a
         # conflict
-        engine = sys.modules["relalg.search"]  # relalg.search is the function
         refute, engines, scans = engine._Engine.refute, set(), []
 
         def spy_refute(eng, resume):
@@ -349,10 +347,9 @@ class TestCompiledChecker:
         *((search, spec) for spec in ORACLE_SPECS),
         # the last guided row is violated at the root and reaches no leaf
         *((boolean_guided_search, spec) for spec in GUIDED_ORACLE_SPECS[:-1])])
-    def test_leaves_satisfy_every_instance(self, runner, spec, monkeypatch):
+    def test_leaves_satisfy_every_instance(self, runner, spec, engine, monkeypatch):
         # a propagating search checks nothing at a leaf, so its watchers
         # must already have seen every instance hold on the leaf's cells
-        engine = sys.modules["relalg.search"]
         snapshot, leaves = engine._Engine.snapshot, []
 
         def spy(eng):
@@ -366,14 +363,13 @@ class TestCompiledChecker:
         assert leaves
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_each_step_checks_an_instance_once(self, name, monkeypatch):
+    def test_each_step_checks_an_instance_once(self, name, engine, monkeypatch):
         # from the plan's root state every must-hold check is a recheck in
         # set_cell, none of them repeated within a step, and a leaf checks
         # no must-hold instance; the must-fail scans pass no instance and
         # are not counted.
         # The cache is cleared around the run, so that every checker is
         # compiled through the counting wrapper and none outlives the test
-        engine = sys.modules["relalg.search"]
         compile_, set_cell = engine._compile, engine._Engine.set_cell
         snapshot = engine._Engine.snapshot
         checked, rechecks = [], []  # since the last step; in every step
@@ -405,12 +401,11 @@ class TestCompiledChecker:
         assert res.exhaustive
         assert len(rechecks) == res.rechecks == pinned
 
-    def test_every_read_cell_is_watched(self, monkeypatch):
+    def test_every_read_cell_is_watched(self, engine, monkeypatch):
         # what lets a step stop at its first violated instance: after a
         # successful step and after an undo, every instance is subscribed at
         # its current version to each cell its check reads, including the
         # watchers a failed step did not reach
-        engine = sys.modules["relalg.search"]
         set_cell, undo = engine._Engine.set_cell, engine._Engine.undo
         checked = []
 
@@ -464,10 +459,9 @@ class TestCompiledChecker:
             assert watch.reads == [comp0 + r * n + s]
 
 
-def _counting_compile(monkeypatch):
+def _counting_compile(engine, monkeypatch):
     """Route the engine's compiles through a wrapper; returns the list of
     (sentence, size, folded regions) it compiled, in order."""
-    engine = sys.modules["relalg.search"]
     compile_, compiled = engine._compile, []
 
     def counting(s, n, names, folded):
@@ -477,9 +471,8 @@ def _counting_compile(monkeypatch):
     return compiled
 
 
-def _plan_of(runner, spec, monkeypatch):
+def _plan_of(runner, spec, engine, monkeypatch):
     """The plan ``runner`` passes to ``_run`` for ``spec``; nothing runs."""
-    engine = sys.modules["relalg.search"]
     built = []
     with monkeypatch.context() as m:
         m.setattr(engine, "_run", lambda spec, plan: built.append(plan))
@@ -488,9 +481,8 @@ def _plan_of(runner, spec, monkeypatch):
     return plan
 
 
-def _plan_key(runner, spec, monkeypatch):
+def _plan_key(runner, spec, engine, monkeypatch):
     """The inputs ``runner`` builds its plan from for ``spec``; nothing runs."""
-    engine = sys.modules["relalg.search"]
     keys = []
     with monkeypatch.context() as m:
         m.setattr(engine, "_plan", lambda *key: keys.append(key))
@@ -538,18 +530,19 @@ class TestCheckerCache:
           for name in sorted(PINNED_COUNTS)),
         pytest.param(*PRESET_VIOLATED, False, id="preset-violated")])
     def test_root_state_matches_evaluating_every_instance(self, runner, spec,
-                                                          verdict, monkeypatch):
+                                                          verdict, engine,
+                                                          monkeypatch):
         # the plan lays out the cached root state; it must match evaluating
         # every instance: the same verdict, each cell's watchers in the same
         # order at version 0, and only the instances that hold and subscribe
         # nowhere dropped.  A run starts from a copy of it
-        plan = _plan_of(runner, spec, monkeypatch)
+        plan = _plan_of(runner, spec, engine, monkeypatch)
         evaluated, watch, free = _every_instance_evaluated(plan, spec.must_hold)
         assert (not plan.violated) is evaluated is verdict
         kept = list(zip(plan.owner, plan.values))
         assert [[kept[inst] for inst in w] for w in plan.watch] == watch
         assert all(ver == 0 for w in plan.watch for ver in w.values())
-        eng = sys.modules["relalg.search"]._Engine(plan, len(spec.must_hold))
+        eng = engine._Engine(plan, len(spec.must_hold))
         assert eng.watch == plan.watch and eng.cells == plan.cells
         assert not any(a is b for a, b in zip(eng.watch, plan.watch))
         assert eng.version == [0] * len(kept)
@@ -564,11 +557,11 @@ class TestCheckerCache:
             assert list(values) == [v for v in every if (0, v) not in free]
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_instance_values_fit_their_checker(self, name, monkeypatch):
+    def test_instance_values_fit_their_checker(self, name, engine, monkeypatch):
         # the engine passes an instance's values to its checker unchanged,
         # and the checker unpacks them into the sentence's free variables
         runner, spec, *_ = PINNED_COUNTS[name]
-        plan = _plan_of(runner, spec, monkeypatch)
+        plan = _plan_of(runner, spec, engine, monkeypatch)
         arity = [len(free_vars(s)) for s in spec.must_hold]
         assert plan.values and len(plan.values) == len(plan.owner)
         assert all(type(v) is tuple and len(v) == arity[i]
@@ -579,12 +572,12 @@ class TestCheckerCache:
                        for v in values)
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_warm_cache_changes_nothing(self, name, monkeypatch):
+    def test_warm_cache_changes_nothing(self, name, engine, monkeypatch):
         # the same search from cleared caches, again warm, and again after
         # a search of its sentences at another size: one result, with the
         # pinned counts each time, and the warm run compiles nothing and
         # reuses the plan the cold run built
-        compiled = _counting_compile(monkeypatch)
+        compiled = _counting_compile(engine, monkeypatch)
         cold, *counts = _run_pinned(name)
         assert compiled and _plan.cache_info().misses == 1
         compiled.clear()
@@ -614,10 +607,10 @@ class TestCheckerCache:
         assert (res.nodes_explored, res.rechecks) == (base.nodes_explored,
                                                       base.rechecks)
 
-    def test_suite_compiles_each_checker_once(self, monkeypatch):
+    def test_suite_compiles_each_checker_once(self, engine, monkeypatch):
         # its searches fetch 147 checkers, 63 of them distinct; a second
         # suite reuses every plan and compiles none
-        compiled = _counting_compile(monkeypatch)
+        compiled = _counting_compile(engine, monkeypatch)
         run_verification_suite()
         assert len(compiled) == len(set(compiled)) == 63
         compiled.clear()
@@ -625,10 +618,9 @@ class TestCheckerCache:
         assert compiled == []
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_runs_leave_their_plan_as_built(self, name, monkeypatch):
+    def test_runs_leave_their_plan_as_built(self, name, engine, monkeypatch):
         # a run changes only its own copy of the root state, so after two
         # runs the cached plan still equals one built afresh
-        engine = sys.modules["relalg.search"]
         plan_, keys = engine._plan, []
         monkeypatch.setattr(engine, "_plan",
                             lambda *key: keys.append(key) or plan_(*key))
@@ -638,14 +630,13 @@ class TestCheckerCache:
         assert vars(plan_(*keys[0])) == vars(engine._Plan(*keys[0]))
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
-    def test_plan_inputs_survive_pickling(self, name, monkeypatch):
+    def test_plan_inputs_survive_pickling(self, name, engine, monkeypatch):
         # a worker process sent a plan's inputs builds the plan the cache
         # holds from them
         runner, spec, *_ = PINNED_COUNTS[name]
-        key = _plan_key(runner, spec, monkeypatch)
+        key = _plan_key(runner, spec, engine, monkeypatch)
         sent = pickle.loads(pickle.dumps(key))
         assert sent == key
-        engine = sys.modules["relalg.search"]
         assert vars(engine._Plan(*sent)) == vars(_plan(*key))
 
     @pytest.mark.parametrize("name, iso_nodes", [("tarski-size4", 297),
@@ -756,11 +747,10 @@ def _least_identities(runner, n):
     return [(1 << k) - 1 for k in range(n.bit_length())]
 
 
-def _root_survivors(runner, spec, monkeypatch):
+def _root_survivors(runner, spec, engine, monkeypatch):
     """The identities that pass the lex-leader comparison at the identity
     cell, the first decision, and how many it cut.  Every step below the
     root is failed, so each surviving identity costs one node."""
-    engine = sys.modules["relalg.search"]
     set_cell, survivors = engine._Engine.set_cell, []
 
     def spy(eng, cell, value, trail):
@@ -803,10 +793,10 @@ class TestDecisionOrder:
         # R9 derives the converse of 3 from those of 1 and 2
         (boolean_guided_search, 4, ("R9",), [0, 5, 6, 7, *range(25, 41)]),
     ])
-    def test_decision_order(self, runner, size, held, order, monkeypatch):
+    def test_decision_order(self, runner, size, held, order, engine, monkeypatch):
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
-        assert _plan_of(runner, spec, monkeypatch).variables == order
+        assert _plan_of(runner, spec, engine, monkeypatch).variables == order
 
 
 class TestDerivedCells:
@@ -831,7 +821,7 @@ class TestDerivedCells:
         (boolean_guided_search, 4, ("R8", "R8p")),
         (boolean_guided_search, 8, ("R8", "R8p", "R9")),
     ])
-    def test_relabelings_keep_the_rules(self, runner, size, held, monkeypatch):
+    def test_relabelings_keep_the_rules(self, runner, size, held, engine, monkeypatch):
         # what lex-leader needs of the relabelings: each maps a table that
         # satisfies the rules to one that does too, so the image of a rule
         # is a rule (a copy, with one dependency, read either way; the
@@ -839,7 +829,7 @@ class TestDerivedCells:
         # each derived cell has one rule and follows from the decided cells
         boolean = ("R1", "R2", "R3") if runner is boolean_guided_search else ()
         spec = SearchSpec(size, _axioms(boolean + held), up_to_iso=True)
-        plan = _plan_of(runner, spec, monkeypatch)
+        plan = _plan_of(runner, spec, engine, monkeypatch)
         symmetries = [_relabeling(size, vmap) for vmap in _vmaps(plan)]
         rules = {(t, frozenset(deps)) for t, deps in plan.derived}
         targets = {t for t, _ in rules}
@@ -859,14 +849,13 @@ class TestDerivedCells:
     @pytest.mark.parametrize("name", ["tarski-minus-r2-size2", "tarski-r2-size3",
                                       "tarski-size4", "rsys-size4",
                                       "ssys-size4", "ssys-r7-size4"])
-    def test_rules_lose_no_model(self, name, monkeypatch):
+    def test_rules_lose_no_model(self, name, engine, monkeypatch):
         # every table that satisfies the held laws satisfies the rules, so
         # a search that decides the derived cells instead finds the same
         # classes, on a larger tree
         runner, spec, _, classes, labelings = SYMMETRY_ORACLE_SPECS[name]
         spec = replace(spec, up_to_iso=True)
         derived = runner(spec)
-        engine = sys.modules["relalg.search"]
 
         def underived(rules):
             def without_derived(n, must_hold):
@@ -911,12 +900,12 @@ class TestSymmetryBreaking:
 
     @pytest.mark.parametrize("n, fixing", [(1, [0]), (2, [0, 0]),
                                            (4, [1, 0, 1]), (8, [5, 1, 1, 5])])
-    def test_guided_symmetries(self, n, fixing, monkeypatch):
+    def test_guided_symmetries(self, n, fixing, engine, monkeypatch):
         # every Boolean automorphism but the identity map; those fixing a
         # least identity act below it, and the others map it higher, so they
         # drop out at the identity cell without cutting
         spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        vmaps = _vmaps(_plan_of(boolean_guided_search, spec, monkeypatch))
+        vmaps = _vmaps(_plan_of(boolean_guided_search, spec, engine, monkeypatch))
         least = _least_identities(boolean_guided_search, n)
         top = n - 1
         k = top.bit_length()
@@ -932,11 +921,12 @@ class TestSymmetryBreaking:
                 for rep in least] == fixing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_generic_symmetries(self, n, monkeypatch):
+    def test_generic_symmetries(self, n, engine, monkeypatch):
         # the adjacent transpositions of all the elements: the swap of v - 1
         # and v maps an identity v > 0 lower, and only the swap of 0 and 1
         # moves identity 0
-        plan = _plan_of(search, SearchSpec(n, (), up_to_iso=True), monkeypatch)
+        spec = SearchSpec(n, (), up_to_iso=True)
+        plan = _plan_of(search, spec, engine, monkeypatch)
         want = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
                 for i in range(n - 1)]
         assert _vmaps(plan) == want
@@ -947,25 +937,26 @@ class TestSymmetryBreaking:
         (boolean_guided_search, 8, [0, 1, 3, 7]),
         (search, 1, [0]), (search, 2, [0]), (search, 3, [0])])
     def test_identity_survives_when_least_in_its_orbit(self, runner, n, least,
-                                                       monkeypatch):
+                                                       engine, monkeypatch):
         # R1-R3 read no identity cell, so every identity passes its step and
         # the root comparison alone decides which go on
         assert _least_identities(runner, n) == least
         spec = SearchSpec(n, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        assert _root_survivors(runner, spec, monkeypatch) == (least, n - len(least))
+        assert _root_survivors(runner, spec, engine, monkeypatch) == \
+            (least, n - len(least))
         # a labeled run keeps every identity
         assert _root_survivors(runner, replace(spec, up_to_iso=False),
-                               monkeypatch) == (list(range(n)), 0)
+                               engine, monkeypatch) == (list(range(n)), 0)
 
     @pytest.mark.parametrize("runner, model_id", [
         (search, "a2"), (boolean_guided_search, "a9")])
     def test_image_sources_relabel_every_cell(self, runner, model_id,
-                                              monkeypatch):
+                                              engine, monkeypatch):
         # each cell of the relabeled tables is the value map applied to the
         # cell it is read from; the plan keeps those of the decision cells
         a = build_model(model_id)
         spec = SearchSpec(a.size, _axioms(("R1", "R2", "R3")), up_to_iso=True)
-        plan = _plan_of(runner, spec, monkeypatch)
+        plan = _plan_of(runner, spec, engine, monkeypatch)
         assert plan.tied
         cells = _cells(a)
         for src, vmap, _ in plan.tied:
@@ -987,7 +978,7 @@ class TestMustFailSemantics:
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
     def test_refuting_early_matches_refuting_at_leaves(self, name,
-                                                       monkeypatch):
+                                                       engine, monkeypatch):
         # without propagation no scan runs and check_validity filters each
         # leaf, but no pinned spec finishes without propagation; so the
         # reference here propagates and holds the scan to leaves, where
@@ -995,7 +986,6 @@ class TestMustFailSemantics:
         # no smaller
         early, *_ = _run_pinned(name)
         runner, spec, *_ = PINNED_COUNTS[name]
-        engine = sys.modules["relalg.search"]
         refute = engine._Engine.refute
         monkeypatch.setattr(engine._Engine, "refute", lambda eng, resume:
                             refute(eng, resume) if None not in eng.cells
@@ -1093,10 +1083,9 @@ class TestMinimality:
         assert [s["size"] for s in sizes] == [1, 2]
         assert all(s["models"] == 0 and s["exhaustive"] for s in sizes)
 
-    def test_r9_below_eight_skips_non_powers(self, monkeypatch):
+    def test_r9_below_eight_skips_non_powers(self, engine, monkeypatch):
         # each search gets the budget the size-4 one needs, 451 nodes, so
         # one that lost its pruning stops there and fails at once
-        engine = sys.modules["relalg.search"]
         run = engine._run
         monkeypatch.setattr(engine, "_run", lambda spec, plan:
                             run(replace(spec, node_limit=451), plan))
@@ -1127,6 +1116,61 @@ def test_full_tarski_size8():
     assert res.exhaustive and res.nodes_explored == nodes
     assert (res.iso_class_count, res.labeled_count) == (13, 389760)
     assert all(satisfies(m, TARSKI) for m in res.models)
+
+
+# The canonical forms of the four classes R_SYS - R9 + {not R9} has at size
+# 8, in the order the finished guided search lists them (1,863,089 nodes,
+# about 160 s on one core); the last is b9's class.
+RSYS_MINUS_R9_SIZE8 = [
+    ("0800010003020504070600010203040605070002020004070407020102010201"
+     "0102020202020202020200010203040506070402020404020402070102050205"
+     "0107040102060401060207020207020702070001020304050607010202030202"
+     "0202020202030202020203030303030303030402020302010202050202030201"
+     "020106020203010201020702020302020102"),
+    ("0800010003020504070600010203040605070002020004070407020102010201"
+     "0102020202020202020200010203040506070402020404020402070102050205"
+     "0107040102060401060207020207020702070001020304050607010202030202"
+     "0202020202030202020203030303030303030402020302010202050202030201"
+     "040106020203010701020702020302020102"),
+    ("0800010003020504070600010203040605070002020004070407020102010201"
+     "0102020202020202020200010203040506070402020404020402070102050205"
+     "0107040102060401060207020207020702070001020304050607010202030207"
+     "0402020202030202020203030303030303030402020302010702050402030706"
+     "000106070203010005040702020302040102"),
+    ("0800010003020504070600010203040605070002020006050605020102010102"
+     "0201020202020202020200010203040506070601020404020601050202050205"
+     "0205060202060602060205010207010502070001020304050607010202030202"
+     "0202020202030202020203030303030303030402020302010201050202030202"
+     "020106020203010202020702020301020102"),
+]
+
+
+def _from_form(text):
+    """The algebra a canonical form's hex spells: size, ident, neg, conv,
+    add, comp."""
+    flat = list(bytes.fromhex(text))
+    n, ident = flat[0], flat[1]
+    neg, conv = flat[2:2 + n], flat[2 + n:2 + 2 * n]
+    body = flat[2 + 2 * n:]
+    add = [body[i * n:(i + 1) * n] for i in range(n)]
+    comp = [body[n * n + i * n:n * n + (i + 1) * n] for i in range(n)]
+    return make_algebra(n, add, neg, comp, conv, ident)
+
+
+def test_rsys_minus_r9_size8_classes():
+    # the search's result checked without the search: four distinct classes,
+    # each failing exactly R9 within R_SYS, |Aut| = 2 each, so the orbit sum
+    # is the 80,640 labelings; only the last is isomorphic to b9
+    assert len(set(RSYS_MINUS_R9_SIZE8)) == 4
+    models = [_from_form(form) for form in RSYS_MINUS_R9_SIZE8]
+    for form, a in zip(RSYS_MINUS_R9_SIZE8, models):
+        assert canonical_form(a).hex() == form
+        assert failing_axioms(status_vector(a, R_SYS)) == ["R9"]
+        assert automorphism_count(a) == 2
+    assert sum(math.factorial(8) // automorphism_count(a) for a in models) == 80640
+    b9 = build_model("b9")
+    assert [find_isomorphism(a, b9) is not None for a in models] == \
+        [False, False, False, True]
 
 
 class TestCustomSentences:
