@@ -6,17 +6,16 @@ suite.
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraError, FiniteAlgebra, atoms, automorphism_count,
+from .algebra import (AlgebraError, FiniteAlgebra, automorphism_count,
                       canonical_form, derived_element, find_isomorphism,
-                      from_json, is_completely_distributive, leq, make_algebra,
-                      meet, relabel, sup, to_json)
+                      from_json, make_algebra, relabel, to_json)
 from .terms import (EvalError, ParseError, Sentence, Term, check_validity,
                     eval_term, free_vars, holds, parse_sentence, parse_term,
                     sentence_to_str, term_to_str)
 from .axioms import (AXIOM_IDS, AXIOM_TEXT, BOOLEAN, R_SYS, S_SYS, SYSTEMS,
-                     TARSKI, AxiomError, atom_form_r11, axiom_sentence,
-                     exists_right_identity, failing_axioms,
-                     is_independence_model, satisfies, status_vector)
+                     TARSKI, AxiomError, axiom_sentence, exists_right_identity,
+                     failing_axioms, is_independence_model, satisfies,
+                     status_vector)
 from .catalog import (MODEL_BUILDERS, GroupSpec, PartialGroupoidSpec,
                       boolean_group, boolean_ra, build_model, cyclic_group,
                       group_complex, list_models, lyndon_d, m3, parse_model_id,
@@ -28,19 +27,17 @@ from .report import Claim, Report, render_model, run_verification_suite
 __all__ = [
     "__version__",
     # algebra
-    "AlgebraError", "FiniteAlgebra", "atoms", "automorphism_count",
-    "canonical_form", "derived_element", "find_isomorphism", "from_json",
-    "is_completely_distributive", "leq", "make_algebra", "meet", "relabel",
-    "sup", "to_json",
+    "AlgebraError", "FiniteAlgebra", "automorphism_count", "canonical_form",
+    "derived_element", "find_isomorphism", "from_json", "make_algebra",
+    "relabel", "to_json",
     # terms
     "EvalError", "ParseError", "Sentence", "Term", "check_validity",
     "eval_term", "free_vars", "holds", "parse_sentence", "parse_term",
     "sentence_to_str", "term_to_str",
     # axioms
     "AXIOM_IDS", "AXIOM_TEXT", "BOOLEAN", "R_SYS", "S_SYS", "SYSTEMS",
-    "TARSKI", "AxiomError", "atom_form_r11", "axiom_sentence",
-    "exists_right_identity", "failing_axioms", "is_independence_model",
-    "satisfies", "status_vector",
+    "TARSKI", "AxiomError", "axiom_sentence", "exists_right_identity",
+    "failing_axioms", "is_independence_model", "satisfies", "status_vector",
     # catalog
     "MODEL_BUILDERS", "GroupSpec", "PartialGroupoidSpec", "boolean_group",
     "boolean_ra", "build_model", "cyclic_group", "group_complex",

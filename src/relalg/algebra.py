@@ -102,80 +102,6 @@ def derived_element(a: FiniteAlgebra, which: str) -> int:
     raise ValueError(f"unknown derived element {which!r}")
 
 
-def meet(a: FiniteAlgebra, x: int, y: int) -> int:
-    """x . y = -(-x + -y), always computed from the tables."""
-    return a.neg[a.add[a.neg[x]][a.neg[y]]]
-
-
-def leq(a: FiniteAlgebra, x: int, y: int) -> bool:
-    """x <= y iff x + y = y.  Taken literally; may not be a partial order."""
-    return a.add[x][y] == y
-
-
-def atoms(a: FiniteAlgebra) -> list[int]:
-    """Minimal non-zero elements under the literal <= of the add table."""
-    zero = derived_element(a, "zero")
-    out = []
-    for x in range(a.size):
-        if x == zero:
-            continue
-        if any(y != zero and y != x and leq(a, y, x) for y in range(a.size)):
-            continue
-        out.append(x)
-    return out
-
-
-def sup(a: FiniteAlgebra, subset) -> int | None:
-    """Least upper bound of ``subset`` under <=, or None if there is none.
-
-    The sup of the empty set is the least element of the algebra, when one
-    exists.  With a non-Boolean add table the result may be absent.
-    """
-    elems = list(subset)
-    uppers = [u for u in range(a.size) if all(leq(a, x, u) for x in elems)]
-    for u in uppers:
-        if all(leq(a, u, v) for v in uppers):
-            return u
-    return None
-
-
-def is_completely_distributive(a: FiniteAlgebra, which: str) -> bool:
-    """Whether ; (or converse) distributes over all existing finite sups.
-
-    Checks every subset (or pair of subsets) of the universe, so the size
-    is capped to keep the enumeration tractable.
-    """
-    if a.size > 12:
-        raise AlgebraError("complete distributivity check limited to size <= 12")
-    if which not in ("comp", "conv"):
-        raise ValueError(f"which must be 'comp' or 'conv', got {which!r}")
-    universe = range(a.size)
-    subsets = []
-    for mask in range(1 << a.size):
-        subsets.append([x for x in universe if mask >> x & 1])
-    sups = [sup(a, s) for s in subsets]
-    if which == "conv":
-        for s, sx in zip(subsets, sups):
-            if sx is None:
-                continue
-            image = {a.conv[x] for x in s}
-            si = sup(a, image)
-            if si is None or si != a.conv[sx]:
-                return False
-        return True
-    for s, sx in zip(subsets, sups):
-        if sx is None:
-            continue
-        for t, sy in zip(subsets, sups):
-            if sy is None:
-                continue
-            prods = {a.comp[x][y] for x in s for y in t}
-            sp = sup(a, prods)
-            if sp is None or sp != a.comp[sx][sy]:
-                return False
-    return True
-
-
 def relabel(a: FiniteAlgebra, perm) -> FiniteAlgebra:
     """Apply a permutation of indices to every table.  perm[i] is the new
     index of old element i."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, atoms, leq
+from .algebra import FiniteAlgebra
 from .terms import Sentence, check_validity, parse_sentence
 
 AXIOM_TEXT = {
@@ -78,23 +78,6 @@ def is_independence_model(a: FiniteAlgebra, system, target: str) -> bool:
 
 def satisfies(a: FiniteAlgebra, axiom_ids) -> bool:
     return all(check_validity(a, axiom_sentence(i)) is None for i in axiom_ids)
-
-
-def atom_form_r11(a: FiniteAlgebra):
-    """The atom form of R11: s <= r^;t implies t <= r;s, over atom triples.
-
-    Requires the Boolean axioms to hold (else atoms have no stable meaning).
-    Returns None when valid, otherwise a falsifying atom triple (r, s, t).
-    """
-    if not satisfies(a, BOOLEAN):
-        raise AxiomError("atom form of R11 needs R1-R3 to hold")
-    ats = atoms(a)
-    for r in ats:
-        for s in ats:
-            for t in ats:
-                if leq(a, s, a.comp[a.conv[r]][t]) and not leq(a, t, a.comp[r][s]):
-                    return (r, s, t)
-    return None
 
 
 def exists_right_identity(a: FiniteAlgebra):

@@ -72,6 +72,8 @@ def _parse_env(a: FiniteAlgebra, text: str) -> dict:
         if not sep:
             raise EvalError(f"malformed binding {item!r}")
         var, val = var.strip(), val.strip()
+        if var in env:
+            raise EvalError(f"variable {var!r} bound twice")
         if val in names:
             env[var] = names[val]
         else:

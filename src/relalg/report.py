@@ -388,8 +388,9 @@ def run_verification_suite(include_long_running: bool = False,
          "exactly one size-8 independence model for R9 (full system)",
          search_claim(TARSKI, "R9", 8, [8], one_class, "a9", long_node_limit)),
         ("paper.s14.r9-uniqueness-size8-rsys",
-         "exactly one size-8 independence model for R9 (reduced system)",
-         search_claim(R_SYS, "R9", 8, [8], one_class, "b9", long_node_limit)),
+         "exactly four size-8 independence models for R9 (reduced system), "
+         "one isomorphic to b9",
+         search_claim(R_SYS, "R9", 8, [8], lambda k: k == 4, "b9", long_node_limit)),
     ]
     for cid, desc, fn in long_jobs:
         if include_long_running:

@@ -4,15 +4,14 @@ from itertools import chain, permutations
 
 import pytest
 
-from relalg.algebra import (AlgebraError, atoms, automorphism_count,
-                            canonical_form, derived_element, find_isomorphism,
-                            from_json, is_completely_distributive, leq,
-                            make_algebra, meet, relabel, sup, to_json)
-from relalg.axioms import R_SYS, axiom_sentence
+from relalg.algebra import (AlgebraError, automorphism_count, canonical_form,
+                            derived_element, find_isomorphism, from_json,
+                            make_algebra, relabel, to_json)
+from relalg.axioms import BOOLEAN, R_SYS, axiom_sentence, satisfies
 from relalg.catalog import (a2, a9, b10, boolean_ra, build_model, list_models, m3,
                             z3_complex)
 from relalg.search import SearchSpec, boolean_guided_search
-from relalg.terms import parse_sentence
+from relalg.terms import check_validity, holds, parse_sentence
 
 
 def tiny():
@@ -66,6 +65,15 @@ class TestMakeAlgebra:
                 make_algebra(size, [[0, 1], [1, 1]], [1, 0], [[0, 0], [0, 1]], [0, 1], 1)
 
 
+def _valid(a, *texts):
+    return all(check_validity(a, parse_sentence(t)) is None for t in texts)
+
+
+# On a finite algebra, ; is completely additive iff R8, R8p and the two
+# zero laws hold, and ^ is iff R9 and 0^ = 0 hold (Jonsson and Tarski 1951)
+ZERO_LAWS = ("0;r = 0", "r;0 = 0")
+
+
 class TestDerivedOperations:
     def test_constants_m3(self):
         a = m3()
@@ -76,45 +84,25 @@ class TestDerivedOperations:
             derived_element(a, "bogus")
 
     def test_meet_and_leq(self):
+        # . is -(-x + -y) and x <= y is x + y = y, read from m3's tables
         a = m3()
-        assert meet(a, 1, 3) == 1  # 1' . 1 = 1'
-        assert meet(a, 1, 2) == 0  # 1' . 0' = 0
-        assert leq(a, 1, 3)
-        assert not leq(a, 3, 1)
-
-    def test_atoms(self):
-        assert atoms(m3()) == [1, 2]
-        assert sorted(atoms(z3_complex())) == [1, 2, 4]
-
-    def test_atoms_follow_literal_add_table(self):
-        # a2's add is not a Boolean join, but atoms() still reads it literally
-        assert atoms(a2()) == [1, 2]
-
-    def test_sup(self):
-        a = m3()
-        assert sup(a, []) == 0
-        assert sup(a, [1, 2]) == 3
-        assert sup(a, [3]) == 3
+        assert _valid(a, "1'.1 = 1'", "1'.-1' = 0", "1' <= 1")
+        assert not _valid(a, "1 <= 1'")
 
 
 class TestCompleteDistributivity:
     def test_complex_algebra_is_distributive(self):
         a = z3_complex()
-        assert is_completely_distributive(a, "comp")
-        assert is_completely_distributive(a, "conv")
+        assert satisfies(a, ("R8", "R8p", "R9"))
+        assert _valid(a, *ZERO_LAWS, "0^ = 0")
 
     def test_broken_models(self):
-        # b10: 0;1 = 0' although the empty sup is 0
-        assert not is_completely_distributive(b10(), "comp")
-        # a9: converse is not even additive on the doubletons
-        assert not is_completely_distributive(a9(), "conv")
-
-    def test_size_cap_and_bad_argument(self):
-        big = boolean_ra(4)  # 16 elements
-        with pytest.raises(AlgebraError):
-            is_completely_distributive(big, "comp")
-        with pytest.raises(ValueError):
-            is_completely_distributive(m3(), "add")
+        # b10 holds R8 and R8p, but 0;0' = 0' although the empty join is 0
+        a = b10()
+        assert satisfies(a, ("R8", "R8p"))
+        assert a.name_of(check_validity(a, parse_sentence("0;r = 0"))["r"]) == "0'"
+        # a9: converse is not even additive (R9)
+        assert not satisfies(a9(), ("R9",))
 
 
 class TestIsomorphism:
@@ -289,36 +277,29 @@ class TestDegenerateModels:
 
     def test_leq_in_a2(self):
         # 1' + 1 = 0 in a2, so 1' is not below 1
-        assert not leq(a2(), 1, 2)
+        assert not _valid(a2(), "1' <= 1")
 
     def test_d_meet_of_mixed_sums(self):
         from relalg.catalog import lyndon_d
         d = lyndon_d()
         i = {name: k for k, name in enumerate(d.names)}
-        assert meet(d, i["1'+a"], i["1'+b"]) == i["1'"]
+        assert holds(d, parse_sentence("r.s = 1'"), {"r": i["1'+a"], "s": i["1'+b"]})
 
 
 class TestBooleanGatedProperties:
     def test_leq_is_a_partial_order_under_r1_r3(self):
-        from relalg.axioms import satisfies
+        # reflexive, antisymmetric, and r+s the least upper bound of r and s
         for a in (m3(), z3_complex(), a9(), b10()):
-            assert satisfies(a, ("R1", "R2", "R3"))
-            for x in range(a.size):
-                assert leq(a, x, x)
-                for y in range(a.size):
-                    if leq(a, x, y) and leq(a, y, x):
-                        assert x == y
-                    assert sup(a, [x, y]) is not None
+            assert satisfies(a, BOOLEAN)
+            assert _valid(a, "r <= r", "r <= s, s <= r -> r = s",
+                          "r <= r+s", "r <= t, s <= t -> r+s <= t")
 
     def test_complete_distributivity_implies_both_laws(self):
-        from relalg.axioms import satisfies
         for a in (m3(), z3_complex(), boolean_ra(2)):
-            assert is_completely_distributive(a, "comp")
             assert satisfies(a, ("R8", "R8p"))
-        # contrapositive: R8p fails in a9, so comp cannot be distributive
-        from relalg.axioms import satisfies as sat
-        assert not sat(a9(), ("R8p",))
-        assert not is_completely_distributive(a9(), "comp")
+            assert _valid(a, *ZERO_LAWS)
+        # R8p fails in a9, so its ; is not completely additive
+        assert not satisfies(a9(), ("R8p",))
 
 
 class TestJson:

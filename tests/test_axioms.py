@@ -1,11 +1,13 @@
 import pytest
 
-from relalg.axioms import (AXIOM_IDS, AXIOM_TEXT, R_SYS, S_SYS, TARSKI,
-                           AxiomError, atom_form_r11, axiom_sentence,
-                           exists_right_identity, failing_axioms,
-                           is_independence_model, satisfies, status_vector)
-from relalg.catalog import a2, a3, a4, a5, a10, b5, boolean_ra, m3, z3_complex
-from relalg.terms import free_vars, parse_sentence, sentence_to_str
+from relalg.axioms import (AXIOM_IDS, AXIOM_TEXT, BOOLEAN, R_SYS, S_SYS, TARSKI,
+                           AxiomError, axiom_sentence, exists_right_identity,
+                           failing_axioms, is_independence_model, satisfies,
+                           status_vector)
+from relalg.catalog import (a2, a4, a5, a9, a10, b5, b10, boolean_ra, m3,
+                            z3_complex)
+from relalg.terms import (check_validity, free_vars, parse_sentence,
+                          sentence_to_str)
 
 
 class TestCatalogOfAxioms:
@@ -52,25 +54,38 @@ class TestStatusVectors:
         assert not satisfies(a5(), ("R5",))
 
 
+def _completely_additive(a):
+    """Whether ; and ^ of a finite Boolean algebra are completely additive:
+    R8, R8p and R9 with the zero laws (Jonsson and Tarski 1951)."""
+    return satisfies(a, BOOLEAN + ("R8", "R8p", "R9")) and all(
+        check_validity(a, parse_sentence(t)) is None
+        for t in ("0;r = 0", "r;0 = 0", "0^ = 0"))
+
+
 class TestAtomFormR11:
+    """Where ; and ^ are completely additive, R11 holds iff its atom form
+    does: s <= r^;t implies t <= r;s for all atoms r, s, t."""
+
     def test_valid_in_relation_algebras(self):
-        assert atom_form_r11(z3_complex()) is None
-        assert atom_form_r11(m3()) is None
+        for a in (z3_complex(), m3()):
+            assert _completely_additive(a) and satisfies(a, ("R11",))
 
     def test_valid_in_a4(self):
-        # associativity fails in a4 but the atom form of the cycle law holds
-        assert atom_form_r11(a4()) is None
+        # associativity fails in a4 but the cycle law holds
+        assert _completely_additive(a4()) and satisfies(a4(), ("R11",))
 
-    def test_requires_boolean_axioms(self):
-        with pytest.raises(AxiomError):
-            atom_form_r11(a3())
+    def test_r11_fails_in_a9_and_b10(self):
+        # neither is completely additive: R8p fails in a9, 0;r = 0 in b10
+        for a in (a9(), b10()):
+            assert not _completely_additive(a)
+            assert not satisfies(a, ("R11",))
 
 
 class TestR10VersusItsInequalityForm:
     def test_agree_on_boolean_based_models(self):
         # wherever R1-R3 hold, the equation and inequality forms of the
         # cycle-style axiom stand or fall together
-        from relalg.catalog import a7, a8, a9, b9, b10, boolean_ra, lyndon_d
+        from relalg.catalog import a7, a8, b9, lyndon_d
         for a in (m3(), z3_complex(), lyndon_d(), boolean_ra(2), a7(), a8(),
                   a9(), a10(), b9(), b10()):
             assert satisfies(a, ("R1", "R2", "R3"))

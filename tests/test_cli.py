@@ -83,6 +83,11 @@ class TestCommands:
         code, _, err = run(capsys, "eval", "m3", "r", "--let", "r=9")
         assert code == 2
 
+    def test_eval_variable_bound_twice(self, capsys):
+        # a usage error, not the last binding silently
+        code, out, err = run(capsys, "eval", "m3", "r", "--let", "r=1,r=2")
+        assert code == 2 and out == "" and "'r' bound twice" in err
+
     def test_independence(self, capsys):
         code, out, _ = run(capsys, "independence", "a2", "--target", "R2")
         assert code == 0

@@ -13,6 +13,7 @@ from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, LEMMAS,
                            render_model, run_verification_suite)
 from relalg.search import SearchResult
 from relalg.terms import check_validity
+from test_search import RSYS_MINUS_R9_SIZE8, _from_form
 
 
 class TestRenderModel:
@@ -181,28 +182,33 @@ class TestLongBudget:
         assert built == []
 
 
+def _finished_size8_claims(monkeypatch, rsys_models):
+    """The long suite's claims by id, with made-up finished size-8 searches:
+    the full system finds a9 alone, the reduced one ``rsys_models``."""
+    suite = sys.modules["relalg.report"]
+    search_for = suite._search_for
+
+    def finished(spec):
+        # of the two systems, only R_SYS holds R8p
+        models = rsys_models if axiom_sentence("R8p") in spec.must_hold \
+            else [build_model("a9")]
+        labeled = sum(40320 // automorphism_count(m) for m in models)
+        return SearchResult(models, labeled, len(models), True, 1)
+    monkeypatch.setattr(suite, "_search_for", lambda spec:
+                        finished if spec.size == 8 else search_for(spec))
+    report = run_verification_suite(include_long_running=True)
+    return {c.claim_id: c for c in report.claims}
+
+
 class TestAtSizeClaims:
     def test_any_model_may_match_the_certificate(self, budget_cut_report,
                                                  monkeypatch):
-        # made-up finished size-8 searches: the full system finds a9 alone,
-        # the reduced one two classes with b9 second
-        suite = sys.modules["relalg.report"]
-        search_for = suite._search_for
-
-        def finished(spec):
-            # of the two systems, only R_SYS holds R8p
-            ids = ["d", "b9"] if axiom_sentence("R8p") in spec.must_hold else ["a9"]
-            models = [build_model(mid) for mid in ids]
-            labeled = sum(40320 // automorphism_count(m) for m in models)
-            return SearchResult(models, labeled, len(models), True, 1)
-        monkeypatch.setattr(suite, "_search_for", lambda spec:
-                            finished if spec.size == 8 else search_for(spec))
-        report = run_verification_suite(include_long_running=True)
-        by_id = {c.claim_id: c for c in report.claims}
+        # the reduced system finds two classes, with b9 second
+        by_id = _finished_size8_claims(monkeypatch, [build_model("d"), build_model("b9")])
         tarski, rsys = (by_id[cid] for cid in LONG_CLAIMS)
         assert tarski.status == "pass"
         assert tarski.evidence["certified"] is True
-        # not exactly one class, though one of them is the certificate's
+        # not the four classes, though one of them is the certificate's
         assert rsys.status == "fail"
         assert rsys.evidence["sizes"][0]["models"] == 2
         assert rsys.evidence["certified"] is True
@@ -213,6 +219,17 @@ class TestAtSizeClaims:
         assert by_id[lemma].status == "pass"
         assert by_id[lemma].evidence["population"] == \
             cut.evidence["population"] + 3
+
+    def test_four_reduced_system_classes_pass(self, monkeypatch):
+        # the four classes of the finished R_SYS - R9 search, b9's last
+        models = [_from_form(form) for form in RSYS_MINUS_R9_SIZE8]
+        by_id = _finished_size8_claims(monkeypatch, models)
+        rsys = by_id[LONG_CLAIMS[1]]
+        assert rsys.status == "pass"
+        assert rsys.evidence["sizes"][0]["models"] == 4
+        assert rsys.evidence["certified"] is True
+        # the four join the lemma population, and every lemma still holds
+        assert all(c.status == "pass" for c in by_id.values())
 
 
 class TestSuiteSmoke:
