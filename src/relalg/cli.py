@@ -18,10 +18,11 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
-from .report import (INCONCLUSIVE, PASS, _named_env, render_model,
-                     run_verification_suite)
+from .report import (INCONCLUSIVE, PASS, _independence_evidence, _named_env,
+                     render_model, run_verification_suite)
 from .search import SearchSpec, _search_for
-from .terms import EvalError, ParseError, eval_term, parse_term
+from .terms import (EvalError, ParseError, check_validity, eval_term, free_vars,
+                    parse_term)
 
 
 def _color_enabled() -> bool:
@@ -61,8 +62,8 @@ def _parse_axiom_list(text: str) -> list[str]:
     return out
 
 
-def _parse_env(a: FiniteAlgebra, text: str) -> dict:
-    """Bindings "r=2,s=1'" by element index or element name."""
+def _parse_env(a: FiniteAlgebra, text: str, variables) -> dict:
+    """Bindings "r=2,s=1'" of the term's ``variables`` by element index or name."""
     env = {}
     names = {name: i for i, name in enumerate(a.names)} if a.names else {}
     for item in text.split(","):
@@ -74,20 +75,25 @@ def _parse_env(a: FiniteAlgebra, text: str) -> dict:
         var, val = var.strip(), val.strip()
         if var in env:
             raise EvalError(f"variable {var!r} bound twice")
-        if val in names:
-            env[var] = names[val]
-        else:
+        if var not in variables:
+            raise EvalError(f"variable {var!r} does not occur in the term")
+        index = names.get(val)
+        if index is None:
             try:
-                env[var] = int(val)
+                index = int(val)
             except ValueError:
                 raise EvalError(f"unknown element {val!r}") from None
-        if not 0 <= env[var] < a.size:
-            raise EvalError(f"element index {env[var]} out of range")
+        elif val.isdecimal() and int(val) < a.size and int(val) != index:
+            raise EvalError(f"ambiguous element {val!r}: the name of index {index} "
+                            f"or index {int(val)} (named {a.name_of(int(val))})")
+        if not 0 <= index < a.size:
+            raise EvalError(f"element index {index} out of range")
+        env[var] = index
     return env
 
 
-def _witness_str(a: FiniteAlgebra, env: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in _named_env(a, env).items())
+def _witness_str(named: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in named.items())
 
 
 def cmd_list_models(args) -> int:
@@ -123,14 +129,14 @@ def cmd_check(args) -> int:
             if witness is None:
                 print(f"{_tag(True)} {axiom_id}")
             else:
-                print(f"{_tag(False)} {axiom_id} at {_witness_str(a, witness)}")
+                print(f"{_tag(False)} {axiom_id} at {_witness_str(_named_env(a, witness))}")
     return 1 if failing else 0
 
 
 def cmd_eval(args) -> int:
     a = _load_model(args.model)
     term = parse_term(args.term)
-    env = _parse_env(a, args.let or "")
+    env = _parse_env(a, args.let or "", free_vars(term))
     value = eval_term(a, term, env)
     print(a.name_of(value))
     return 0
@@ -140,16 +146,13 @@ def cmd_independence(args) -> int:
     a = _load_model(args.model)
     system = SYSTEMS[args.system]
     if args.target not in system:
-        print(f"error: {args.target} is not in system {args.system!r}",
-              file=sys.stderr)
-        return 2
-    status = status_vector(a, system)
-    failing = failing_axioms(status)
-    ok = failing == [args.target]
+        raise ValueError(f"{args.target} is not in system {args.system!r}")
+    ok, ev = _independence_evidence(
+        lambda m, i: check_validity(m, axiom_sentence(i)), a, system, args.target)
     print(f"{_tag(ok)} independence of {args.target} within {args.system}: "
-          f"failing = {failing or 'none'}")
-    if status.get(args.target) is not None:
-        print(f"  witness: {_witness_str(a, status[args.target])}")
+          f"failing = {ev['failing'] or 'none'}")
+    if "witness" in ev:
+        print(f"  witness: {_witness_str(ev['witness'])}")
     return 0 if ok else 1
 
 
@@ -161,32 +164,26 @@ def cmd_search(args) -> int:
                       node_limit=args.limit)
     res = _search_for(spec)(spec)
     conflicts = dict(zip(hold, res.conflicts))
+    fields = [  # (JSON key, text label, value)
+        ("labeled_count", "labeled models", res.labeled_count),
+        ("iso_class_count", "iso classes", res.iso_class_count),
+        ("exhaustive", "exhaustive", res.exhaustive),
+        ("nodes_explored", "nodes explored", res.nodes_explored),
+        ("rechecks", "rechecks", res.rechecks),
+        ("conflicts", "conflicts", conflicts),
+        ("symmetry_cuts", "symmetry cuts", res.symmetry_cuts),
+        ("refuted", "refuted", res.refuted),
+        ("instances", "instances", res.instances),
+    ]
     if args.json:
-        doc = {
-            "size": args.size,
-            "labeled_count": res.labeled_count,
-            "iso_class_count": res.iso_class_count,
-            "exhaustive": res.exhaustive,
-            "nodes_explored": res.nodes_explored,
-            "rechecks": res.rechecks,
-            "conflicts": conflicts,
-            "symmetry_cuts": res.symmetry_cuts,
-            "refuted": res.refuted,
-            "instances": res.instances,
-            "models": [json.loads(to_json(m)) for m in res.models],
-        }
+        doc = {"size": args.size, **{key: value for key, _, value in fields},
+               "models": [json.loads(to_json(m)) for m in res.models]}
         print(json.dumps(doc, indent=1))
     else:
-        print(f"labeled models: {res.labeled_count}")
-        print(f"iso classes:    {res.iso_class_count}")
-        print(f"exhaustive:     {res.exhaustive}")
-        print(f"nodes explored: {res.nodes_explored}")
-        print(f"rechecks:       {res.rechecks}")
-        print("conflicts:      " + (", ".join(
-            f"{i} {c}" for i, c in conflicts.items()) or "none"))
-        print(f"symmetry cuts:  {res.symmetry_cuts}")
-        print(f"refuted:        {res.refuted}")
-        print(f"instances:      {res.instances}")
+        for key, label, value in fields:
+            if key == "conflicts":
+                value = ", ".join(f"{i} {c}" for i, c in conflicts.items()) or "none"
+            print(f"{label + ':':16}{value}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism
 from .axioms import (BOOLEAN, R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
-from .search import SearchSpec, _search_for, boolean_guided_search
+from .search import SearchResult, SearchSpec, _search_for, boolean_guided_search
 from .terms import check_validity, holds
 from . import golden
 
@@ -240,13 +241,6 @@ def _golden_check(a: FiniteAlgebra, ident: str, comparisons):
     return not bad, {"mismatches": bad[:10]}
 
 
-def _golden_claims(models):
-    """(claim id, description, check fn) for each ``GOLDEN`` row."""
-    return [(cid, desc, lambda mid=mid, ident=ident, comparisons=comparisons:
-             _golden_check(models[mid], ident, comparisons))
-            for cid, desc, mid, ident, comparisons in GOLDEN]
-
-
 def run_verification_suite(include_long_running: bool = False,
                            long_node_limit: int | None = 50_000) -> Report:
     if long_node_limit is not None:  # raise a bad budget before any claim runs
@@ -263,33 +257,34 @@ def run_verification_suite(include_long_running: bool = False,
             verdicts[key] = check_validity(a, axiom_sentence(axiom_id))
         return verdicts[key]
 
-    def run(claim_id, description, kind, fn):
-        """``fn`` returns (verdict, evidence); a None verdict means the
-        check did not finish."""
+    def run(claim_id, description, kind, check):
+        """``check`` returns (verdict, evidence); a None verdict means the
+        check did not finish.  A None ``check`` is a long claim left out."""
+        if check is None:
+            claims.append(Claim(claim_id, description, kind, SKIP, 0.0,
+                                {"hint": "rerun with long-running checks enabled"}))
+            return
         start = time.perf_counter()
         try:
-            ok, evidence = fn()
+            ok, evidence = check()
             status = INCONCLUSIVE if ok is None else PASS if ok else FAIL
         except Exception as exc:  # a crashing claim is a failing claim
             status, evidence = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
         claims.append(Claim(claim_id, description, kind, status,
                             time.perf_counter() - start, evidence))
 
-    def skip(claim_id, description, kind):
-        claims.append(Claim(claim_id, description, kind, SKIP, 0.0,
-                            {"hint": "rerun with long-running checks enabled"}))
-
     # (a) golden tables
-    for cid, desc, fn in _golden_claims(models):
-        run(cid, desc, "table-golden", fn)
+    for cid, desc, mid, ident, comparisons in GOLDEN:
+        run(cid, desc, "table-golden",
+            partial(_golden_check, models[mid], ident, comparisons))
 
     # (b)-(d) independence suites
     for suite in (_TARSKI_SUITE, _RSYS_SUITE, _SSYS_SUITE):
         for cid, mid, sysname, target in suite:
             run(cid, f"{mid} fails exactly {target} within {sysname}",
                 "independence",
-                lambda mid=mid, sysname=sysname, target=target:
-                    _independence_evidence(verdict, models[mid], SYSTEMS[sysname], target))
+                partial(_independence_evidence, verdict, models[mid],
+                        SYSTEMS[sysname], target))
 
     # (e) extra facts
     run("paper.witness.stated-counterexamples",
@@ -308,7 +303,7 @@ def run_verification_suite(include_long_running: bool = False,
     run("paper.s12.b10-r10-independence",
         "b10 is an alternative independence model for R10",
         "extra-fact",
-        lambda: _independence_evidence(verdict, models["b10"], TARSKI, "R10"))
+        partial(_independence_evidence, verdict, models["b10"], TARSKI, "R10"))
 
     def b5_fact():
         a = models["b5"]
@@ -319,51 +314,44 @@ def run_verification_suite(include_long_running: bool = False,
         "b5 has a right identity element yet fails R5", "extra-fact", b5_fact)
 
     # (g)-(h) search claims: at each size, the search that holds the system
-    # less the target and fails the target finds an accepted class count
+    # less the target and fails the target finds the required class count
     population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
 
-    def search_claim(system, target, size, sizes, accept, cert, node_limit=None):
-        """The claim that the search finds ``accept``ed class counts at each
-        of ``sizes``, and that the certificate is an independence model of
-        ``size`` elements, isomorphic to a model found there when that size
-        is searched; None when a node budget cuts a search.  The models of
-        every finished search join the lemma population."""
-        def fn():
-            rows, found = [], {}
-            must_hold = tuple(axiom_sentence(i) for i in system if i != target)
-            for n in sizes:
-                spec = SearchSpec(n, must_hold, (axiom_sentence(target),),
-                                  up_to_iso=True, node_limit=node_limit)
-                runner = _search_for(spec)
-                if runner is boolean_guided_search and n & (n - 1):
-                    rows.append({"size": n, "models": 0, "labeled": 0, "exhaustive": True,
-                                 "skipped": "not a power of two: no Boolean skeleton",
-                                 "nodes": 0, "rechecks": 0})
-                    continue
-                res = runner(spec)
-                rows.append({"size": n, "models": res.iso_class_count,
-                             "labeled": res.labeled_count,
-                             "exhaustive": res.exhaustive, "skipped": None,
-                             "nodes": res.nodes_explored, "rechecks": res.rechecks})
-                found[n] = res.models
-                if res.exhaustive:
-                    population.extend((f"search.{cert}-size{n}.{i}", m)
-                                      for i, m in enumerate(res.models))
-            a = models[cert]
-            certified = (a.size == size and
-                         _independence_evidence(verdict, a, system, target)[0] and
-                         (size not in found or
-                          any(find_isomorphism(m, a) for m in found[size])))
-            ev = {"sizes": rows, "certificate": cert, "certified": certified}
-            if not all(row["exhaustive"] for row in rows):
-                ev["resource_abort"] = True
-                return None, ev
-            return certified and all(accept(row["models"]) for row in rows), ev
-        return fn
-
-    def no_model(k): return k == 0
-    def one_class(k): return k == 1
-    def some_model(k): return k >= 1
+    def search_claim(system, target, size, sizes, cert, count, node_limit=None):
+        """(verdict, evidence) of the claim that the search finds ``count``
+        classes (at least one when None) at each of ``sizes``, and that the
+        certificate is an independence model of ``size`` elements,
+        isomorphic to a model found there when ``size`` is one of ``sizes``;
+        None when a node budget cuts a search.  The models of every finished
+        search join the lemma population."""
+        rows, found = [], {}
+        must_hold = tuple(axiom_sentence(i) for i in system if i != target)
+        for n in sizes:
+            spec = SearchSpec(n, must_hold, (axiom_sentence(target),),
+                              up_to_iso=True, node_limit=node_limit)
+            runner = _search_for(spec)
+            skipped = runner is boolean_guided_search and n & (n - 1)
+            res = SearchResult([], 0, 0, True, 0) if skipped else runner(spec)
+            rows.append({"size": n, "models": res.iso_class_count,
+                         "labeled": res.labeled_count, "exhaustive": res.exhaustive,
+                         "skipped": "not a power of two: no Boolean skeleton"
+                                    if skipped else None,
+                         "nodes": res.nodes_explored, "rechecks": res.rechecks})
+            found[n] = res.models
+            if res.exhaustive:
+                population.extend((f"search.{cert}-size{n}.{i}", m)
+                                  for i, m in enumerate(res.models))
+        a = models[cert]
+        certified = (a.size == size and
+                     _independence_evidence(verdict, a, system, target)[0] and
+                     (size not in found or
+                      any(find_isomorphism(m, a) for m in found[size])))
+        ev = {"sizes": rows, "certificate": cert, "certified": certified}
+        if not all(row["exhaustive"] for row in rows):
+            ev["resource_abort"] = True
+            return None, ev
+        return certified and all(row["models"] > 0 if count is None else
+                                 row["models"] == count for row in rows), ev
 
     for cid, target, system, size, cert in [
         ("paper.s6.r2-minimality", "R2", TARSKI, 3, "a2"),
@@ -375,34 +363,29 @@ def run_verification_suite(include_long_running: bool = False,
         sysname = "tarski" if system is TARSKI else "the reduced system"
         run(cid, f"no independence model for {target} below size {size} ({sysname})",
             "minimality",
-            search_claim(system, target, size, range(1, size), no_model, cert))
+            partial(search_claim, system, target, size, range(1, size), cert, 0))
 
     run("paper.s6.r2-uniqueness-size3",
         "exactly one size-3 independence model for R2, isomorphic to a2",
-        "uniqueness", search_claim(TARSKI, "R2", 3, [3], one_class, "a2"))
+        "uniqueness", partial(search_claim, TARSKI, "R2", 3, [3], "a2", 1))
     run("paper.s9.r7-size4-search",
         "size-4 search finds an independence model for R7 isomorphic to a7",
-        "uniqueness", search_claim(TARSKI, "R7", 4, [4], some_model, "a7"))
-    long_jobs = [
+        "uniqueness", partial(search_claim, TARSKI, "R7", 4, [4], "a7", None))
+    for cid, desc, system, cert, count in [
         ("paper.s11.r9-uniqueness-size8",
-         "exactly one size-8 independence model for R9 (full system)",
-         search_claim(TARSKI, "R9", 8, [8], one_class, "a9", long_node_limit)),
+         "exactly one size-8 independence model for R9 (full system)", TARSKI, "a9", 1),
         ("paper.s14.r9-uniqueness-size8-rsys",
          "exactly four size-8 independence models for R9 (reduced system), "
-         "one isomorphic to b9",
-         search_claim(R_SYS, "R9", 8, [8], lambda k: k == 4, "b9", long_node_limit)),
-    ]
-    for cid, desc, fn in long_jobs:
-        if include_long_running:
-            run(cid, desc, "uniqueness", fn)
-        else:
-            skip(cid, desc, "uniqueness")
+         "one isomorphic to b9", R_SYS, "b9", 4),
+    ]:
+        run(cid, desc, "uniqueness",
+            partial(search_claim, system, "R9", 8, [8], cert, count, long_node_limit)
+            if include_long_running else None)
 
     # (f) semantic lemma checks over the catalog plus all searched models
     for cid, desc, hypotheses, conclusions, agree in LEMMAS:
         run(cid, desc, "lemma-semantic",
-            lambda h=hypotheses, c=conclusions, agree=agree:
-                _lemma(verdict, population, h, c, agree))
+            partial(_lemma, verdict, population, hypotheses, conclusions, agree))
 
     claims.sort(key=lambda c: c.claim_id)
     return Report(__version__, claims)

@@ -15,7 +15,7 @@ from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
 from relalg.axioms import (R_SYS, S_SYS, TARSKI, axiom_sentence,
                            failing_axioms, satisfies, status_vector)
 from relalg.catalog import build_model, list_models
-from relalg.report import _golden_claims, run_verification_suite
+from relalg.report import GOLDEN, _golden_check, run_verification_suite
 from relalg.search import (SearchSpec, boolean_guided_search, naive_enumerate,
                            search)
 from relalg.terms import holds
@@ -73,8 +73,8 @@ def test_criterion_04_golden_tables():
     start = time.perf_counter()
     models = {mid: build_model(mid) for mid in list_models()}
     ok = True
-    for cid, _, fn in _golden_claims(models):
-        good, evidence = fn()
+    for cid, _, mid, ident, comparisons in GOLDEN:
+        good, evidence = _golden_check(models[mid], ident, comparisons)
         if not good:
             print(cid, evidence)
         ok = ok and good

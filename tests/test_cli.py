@@ -1,3 +1,4 @@
+import ast
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from relalg.algebra import from_json, to_json
 from relalg.catalog import boolean_ra, m3
 from relalg.cli import _parse_axiom_list, main
+from relalg.report import _TARSKI_SUITE, run_verification_suite
 
 
 def run(capsys, *argv):
@@ -71,30 +73,64 @@ class TestCommands:
         assert out.strip() == "0'"
 
     def test_eval_by_index(self, capsys):
-        code, out, _ = run(capsys, "eval", "m3", "r+s", "--let", "r=1,s=2")
+        code, out, _ = run(capsys, "eval", "m3", "r+s", "--let", "r=2,s=0")
         assert code == 0
-        assert out.strip() == "1"
+        assert out.strip() == "0'"
 
     def test_eval_errors(self, capsys):
-        code, _, err = run(capsys, "eval", "m3", "r;s", "--let", "r=1")
+        code, _, err = run(capsys, "eval", "m3", "r;s", "--let", "r=2")
         assert code == 2 and "unbound" in err
-        code, _, err = run(capsys, "eval", "m3", "r;;s", "--let", "r=1,s=1")
+        code, _, err = run(capsys, "eval", "m3", "r;;s", "--let", "r=2,s=2")
         assert code == 2
         code, _, err = run(capsys, "eval", "m3", "r", "--let", "r=9")
         assert code == 2
 
     def test_eval_variable_bound_twice(self, capsys):
         # a usage error, not the last binding silently
-        code, out, err = run(capsys, "eval", "m3", "r", "--let", "r=1,r=2")
+        code, out, err = run(capsys, "eval", "m3", "r", "--let", "r=3,r=2")
         assert code == 2 and out == "" and "'r' bound twice" in err
+
+    def test_eval_name_that_is_another_index(self, capsys):
+        # in m3 the name 1 is index 3, while index 1 is 1'
+        code, out, err = run(capsys, "eval", "m3", "r", "--let", "r=1")
+        assert code == 2 and out == ""
+        assert "'1': the name of index 3 or index 1 (named 1')" in err
+        # the name 0 is index 0, so both readings agree
+        code, out, _ = run(capsys, "eval", "m3", "r", "--let", "r=0")
+        assert code == 0 and out.strip() == "0"
+
+    def test_eval_variable_not_in_term(self, capsys):
+        code, out, err = run(capsys, "eval", "m3", "r", "--let", "r=1',q=0")
+        assert code == 2 and out == ""
+        assert "variable 'q' does not occur in the term" in err
 
     def test_independence(self, capsys):
         code, out, _ = run(capsys, "independence", "a2", "--target", "R2")
         assert code == 0
+        assert out == ("pass independence of R2 within tarski: failing = ['R2']\n"
+                       "  witness: r=1', s=1', t=1\n")
         code, out, _ = run(capsys, "independence", "m3", "--target", "R2")
         assert code == 1
+        assert out == "FAIL independence of R2 within tarski: failing = none\n"
+        code, out, _ = run(capsys, "independence", "b9", "--target", "R9",
+                           "--system", "r")
+        assert code == 0
+        assert out == ("pass independence of R9 within r: failing = ['R9']\n"
+                       "  witness: r=1', s=a\n")
         code, _, err = run(capsys, "independence", "a2", "--target", "R8p")
         assert code == 2
+
+    def test_independence_matches_claim_evidence(self, capsys):
+        by_id = {c.claim_id: c for c in run_verification_suite().claims}
+        for cid, mid, sysname, target in _TARSKI_SUITE:
+            code, out, _ = run(capsys, "independence", mid, "--target", target,
+                               "--system", sysname)
+            assert code == 0, cid
+            head, *rest = out.splitlines()
+            witness = dict(pair.split("=", 1) for line in rest
+                           for pair in line.removeprefix("  witness: ").split(", "))
+            assert {"failing": ast.literal_eval(head.split("failing = ")[1]),
+                    "witness": witness} == by_id[cid].evidence, cid
 
     def test_search(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2",
@@ -117,6 +153,23 @@ class TestCommands:
         line = next(ln for ln in out.splitlines() if ln.startswith("conflicts:"))
         assert line.split(":", 1)[1].strip().split(", ") == [
             f"{i} {c}" for i, c in conflicts.items()]
+
+    def test_search_text_states_each_json_field(self, capsys):
+        argv = ("search", "--size", "2", "--hold", "R1,R3-R10,R1", "--fail",
+                "R2", "--iso")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        fields = [(key, value) for key, value in doc.items()
+                  if key not in ("size", "models")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(fields)  # no model found
+        for (key, value), line in zip(fields, lines):
+            if key == "conflicts":
+                value = ", ".join(f"{i} {c}" for i, c in value.items())
+            assert line.split(":", 1)[1].strip() == str(value), key
 
     def test_search_iso_with_r1_r3_is_guided(self, capsys):
         # the guided search's tree; the generic one explores 52,377 nodes

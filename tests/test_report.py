@@ -8,8 +8,8 @@ from relalg import cli
 from relalg.algebra import automorphism_count, make_algebra
 from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
-from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, LEMMAS,
-                           Claim, Report, _golden_claims, _lemma,
+from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, GOLDEN,
+                           LEMMAS, Claim, Report, _golden_check, _lemma,
                            render_model, run_verification_suite)
 from relalg.search import SearchResult
 from relalg.terms import check_validity
@@ -33,9 +33,9 @@ class TestRenderModel:
 def _mismatches(claim_id, model_id, bad):
     """The golden claim's mismatches with ``bad`` in place of the model;
     the claim must fail."""
-    models = {mid: build_model(mid) for mid in list_models()}
-    models[model_id] = bad
-    ok, evidence = {cid: fn for cid, _, fn in _golden_claims(models)}[claim_id]()
+    _, _, mid, ident, comparisons = next(row for row in GOLDEN if row[0] == claim_id)
+    assert mid == model_id
+    ok, evidence = _golden_check(bad, ident, comparisons)
     assert not ok
     return evidence["mismatches"]
 
@@ -78,8 +78,8 @@ class TestFaultInjection:
 
     def test_uncorrupted_claim_passes(self):
         models = {mid: build_model(mid) for mid in list_models()}
-        for cid, _, fn in _golden_claims(models):
-            ok, evidence = fn()
+        for cid, _, mid, ident, comparisons in GOLDEN:
+            ok, evidence = _golden_check(models[mid], ident, comparisons)
             assert ok, (cid, evidence)
 
 
@@ -237,10 +237,11 @@ class TestSuiteSmoke:
         report = run_verification_suite(include_long_running=False)
         assert report.overall == "pass"
         by_id = {c.claim_id: c for c in report.claims}
-        assert by_id["paper.s11.r9-uniqueness-size8"].status == \
-            "skipped-long-running"
-        assert by_id["paper.s14.r9-uniqueness-size8-rsys"].status == \
-            "skipped-long-running"
+        for cid in LONG_CLAIMS:
+            assert by_id[cid].status == "skipped-long-running"
+            assert by_id[cid].evidence == \
+                {"hint": "rerun with long-running checks enabled"}
+            assert by_id[cid].seconds == 0.0
         # ordering is by claim id, not execution order
         ids = [c.claim_id for c in report.claims]
         assert ids == sorted(ids)
