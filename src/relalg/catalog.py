@@ -19,32 +19,10 @@ MAX_ATOMS = 8  # 256 elements; each further atom quadruples every table
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite group given by tables; validated at construction."""
-
-    size: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    unit: int
-
-    def __post_init__(self):
-        n, mul, inv, e = self.size, self.mul, self.inv, self.unit
-        if len(mul) != n or any(len(row) != n for row in mul) or len(inv) != n:
-            raise AlgebraError("group tables have wrong dimensions")
-        for x in range(n):
-            if mul[e][x] != x or mul[x][e] != x:
-                raise AlgebraError("unit is not a two-sided identity")
-            if mul[x][inv[x]] != e or mul[inv[x]][x] != e:
-                raise AlgebraError("inv is not a two-sided inverse")
-            for y in range(n):
-                for z in range(n):
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        raise AlgebraError("group operation is not associative")
-
-
-@dataclass(frozen=True)
-class PartialGroupoidSpec:
-    """A partial binary operation with unit and total inverse.  Undefined
-    products are represented by None."""
+    """A finite group, or a partial groupoid whose undefined products are
+    None; validated at construction.  The unit's products and x times its
+    inverse must be defined and exact, and (xy)z = x(yz) wherever both
+    sides are defined."""
 
     size: int
     mul: tuple[tuple[int | None, ...], ...]
@@ -54,12 +32,25 @@ class PartialGroupoidSpec:
     def __post_init__(self):
         n, mul, inv, e = self.size, self.mul, self.inv, self.unit
         if len(mul) != n or any(len(row) != n for row in mul) or len(inv) != n:
-            raise AlgebraError("partial groupoid tables have wrong dimensions")
+            raise AlgebraError("group tables have wrong dimensions")
+        products = {p for row in mul for p in row} - {None}
+        if not {e, *inv, *products} <= set(range(n)):
+            raise AlgebraError(f"group table entry out of range for size {n}")
         for x in range(n):
             if mul[e][x] != x or mul[x][e] != x:
-                raise AlgebraError("unit must act as a two-sided identity where defined")
-            if not 0 <= inv[x] < n:
-                raise AlgebraError("inv entry out of range")
+                raise AlgebraError("unit is not a two-sided identity")
+            if mul[x][inv[x]] != e or mul[inv[x]][x] != e:
+                raise AlgebraError("inv is not a two-sided inverse")
+        # right[z] = x(yz): a whole-row match settles every z at once, and
+        # only a row with undefined products is compared cell by cell
+        for row in mul:
+            for xy, y_row in zip(row, mul):
+                if xy is None:
+                    continue
+                right = tuple([None if yz is None else row[yz] for yz in y_row])
+                if mul[xy] != right and any(p != q and None not in (p, q)
+                                            for p, q in zip(mul[xy], right)):
+                    raise AlgebraError("group operation is not associative")
 
 
 def cyclic_group(n: int) -> GroupSpec:
@@ -103,7 +94,7 @@ def _complex_algebra(k, atom_comp, atom_conv, ident, names) -> FiniteAlgebra:
     return make_algebra(n, add, neg, comp, conv, ident, names)
 
 
-def group_complex(g: GroupSpec | PartialGroupoidSpec) -> FiniteAlgebra:
+def group_complex(g: GroupSpec) -> FiniteAlgebra:
     """Complex algebra of a group or partial groupoid: powerset with
     element-wise product and inverse, identity = {unit}.  Undefined products
     contribute nothing to the complex product."""
@@ -184,14 +175,14 @@ def a3(k: int = 1) -> FiniteAlgebra:
                         base.comp, base.conv, base.ident, base.names)
 
 
-def mckinsey_partial_groupoid() -> PartialGroupoidSpec:
+def mckinsey_partial_groupoid() -> GroupSpec:
     """Three elements, 0 the unit, 1*1 = 2*2 = 0, 1*2 and 2*1 undefined."""
     mul = (
         (0, 1, 2),
         (1, 0, None),
         (2, None, 0),
     )
-    return PartialGroupoidSpec(3, mul, (0, 1, 2), 0)
+    return GroupSpec(3, mul, (0, 1, 2), 0)
 
 
 def a4() -> FiniteAlgebra:

@@ -130,26 +130,17 @@ def index_map(a: FiniteAlgebra) -> dict:
     return {name: i for i, name in enumerate(a.names)}
 
 
-def compare_table(a: FiniteAlgebra, table: str, order, rows) -> list[tuple]:
-    """Cell-for-cell comparison of a binary table; returns mismatches as
-    (row-name, col-name, got, expected)."""
+def compare(a: FiniteAlgebra, table: str, order, reference) -> list[tuple]:
+    """Cell-for-cell comparison of ``a``'s table with a reference given by
+    element name: one name per element of ``order`` for the unary neg and
+    conv, one row of names per element for a binary table.  Returns the
+    mismatches as (row-name, got, expected), or (row-name, col-name, got,
+    expected) for a binary table."""
     idx = index_map(a)
     op = getattr(a, table)
-    bad = []
-    for rn, row in zip(order, rows):
-        for cn, want in zip(order, row):
-            got = op[idx[rn]][idx[cn]]
-            if got != idx[want]:
-                bad.append((rn, cn, a.names[got], want))
-    return bad
-
-
-def compare_vector(a: FiniteAlgebra, table: str, order, values) -> list[tuple]:
-    idx = index_map(a)
-    op = getattr(a, table)
-    bad = []
-    for rn, want in zip(order, values):
-        got = op[idx[rn]]
-        if got != idx[want]:
-            bad.append((rn, a.names[got], want))
-    return bad
+    if table in ("neg", "conv"):
+        cells = [((rn,), op[idx[rn]], want) for rn, want in zip(order, reference)]
+    else:
+        cells = [((rn, cn), op[idx[rn]][idx[cn]], want)
+                 for rn, row in zip(order, reference) for cn, want in zip(order, row)]
+    return [(*at, a.names[got], want) for at, got, want in cells if got != idx[want]]

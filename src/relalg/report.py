@@ -236,8 +236,7 @@ def _golden_check(a: FiniteAlgebra, ident: str, comparisons):
     ten mismatches, each located, are the evidence."""
     bad = [] if a.name_of(a.ident) == ident else [("ident", a.name_of(a.ident), ident)]
     for table, order, reference in comparisons:
-        compare = golden.compare_vector if table in ("neg", "conv") else golden.compare_table
-        bad += [(table,) + t for t in compare(a, table, order, reference)]
+        bad += [(table,) + t for t in golden.compare(a, table, order, reference)]
     return not bad, {"mismatches": bad[:10]}
 
 

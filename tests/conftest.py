@@ -1,11 +1,15 @@
-"""A node budget for every search the suite runs without one.
+"""A node budget for every search the suite runs without one, and the one
+switch for the long tests.
 
 A search that loses its pruning then stops at the budget and its test fails
 on the count or on ``exhaustive``, instead of running for hours.  The
 largest search the suite runs without a budget of its own is the
 unconstrained size-2 tree, 16,383 nodes.
+
+A test marked ``long`` runs only when RELALG_LONG=1 is set.
 """
 
+import os
 import sys
 from dataclasses import replace
 
@@ -14,6 +18,15 @@ import pytest
 import relalg  # noqa: F401  (loads relalg.search)
 
 NODE_BUDGET = 20_000
+
+
+def pytest_collection_modifyitems(items):
+    if os.environ.get("RELALG_LONG") == "1":
+        return
+    skip = pytest.mark.skip(reason="long-running; set RELALG_LONG=1 to enable")
+    for item in items:
+        if item.get_closest_marker("long"):
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -208,8 +208,6 @@ def test_criterion_09_oracle_cross_checks():
 
 
 @pytest.mark.long
-@pytest.mark.skipif(os.environ.get("RELALG_LONG") != "1",
-                    reason="long-running; set RELALG_LONG=1 to enable")
 def test_criterion_10_uniqueness_r9_size8():
     node_limit = int(os.environ.get("RELALG_NODE_LIMIT", "200000"))
     results = []

@@ -1,13 +1,13 @@
+import hashlib
 from itertools import permutations, product
 
 import pytest
 
 from relalg import golden
-from relalg.algebra import AlgebraError, derived_element
+from relalg.algebra import AlgebraError, derived_element, to_json
 from relalg.axioms import TARSKI, is_independence_model, satisfies
-from relalg.catalog import (MAX_ATOMS, GroupSpec, PartialGroupoidSpec, a1,
-                            a2, a3, a4, a5, a6, a7, a8, a9, a10, b5, b9, b10,
-                            boolean_group, boolean_ra, build_model,
+from relalg.catalog import (MAX_ATOMS, GroupSpec, a1, a2, a3, a4, a5, a6,
+                            a7, a8, a9, a10, b5, b9, b10, boolean_group, boolean_ra, build_model,
                             cyclic_group, group_complex, is_symmetric_integral,
                             list_models, lyndon_d, m3,
                             mckinsey_partial_groupoid, parse_model_id,
@@ -37,9 +37,31 @@ class TestSpecs:
         with pytest.raises(AlgebraError, match="associative"):
             GroupSpec(4, tuple(tuple(r) for r in mul), (0, 3, 2, 1), 0)
 
+    @pytest.mark.parametrize("mul, inv, unit", [
+        (((0, 1), (1, 0)), (0, 5), 0),     # an inverse
+        (((0, 1), (1, 0)), (0, -1), 0),
+        (((0, 1), (1, 0)), (0, 1), 3),     # the unit
+        (((0, 1), (1, 7)), (0, 1), 0),     # a product
+        (((0, 1), (1, -1)), (0, 1), 0),
+        (((0, 1, 2), (1, 0, 9), (2, None, 0)), (0, 1, 2), 0),  # partial
+    ])
+    def test_out_of_range_entry(self, mul, inv, unit):
+        with pytest.raises(AlgebraError, match="out of range"):
+            GroupSpec(len(mul), mul, inv, unit)
+
     def test_partial_groupoid_validation(self):
         with pytest.raises(AlgebraError, match="identity"):
-            PartialGroupoidSpec(2, ((0, None), (1, 0)), (0, 1), 0)
+            GroupSpec(2, ((0, None), (1, 0)), (0, 1), 0)
+        # McKinsey's table with 1*1 = 2: 1 is no longer its own inverse
+        with pytest.raises(AlgebraError, match="inverse"):
+            GroupSpec(3, ((0, 1, 2), (1, 2, None), (2, None, 0)), (0, 1, 2), 0)
+        # Z4 with 1*2 and 2*1 undefined and 1*1 = 3: (1*1)*3 = 2 but
+        # 1*(1*3) = 1
+        mul = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        mul[1][2] = mul[2][1] = None
+        mul[1][1] = 3
+        with pytest.raises(AlgebraError, match="associative"):
+            GroupSpec(4, tuple(tuple(r) for r in mul), (0, 3, 2, 1), 0)
         p = mckinsey_partial_groupoid()
         assert p.mul[1][2] is None and p.mul[2][1] is None
         assert p.mul[1][1] == 0 == p.mul[2][2]
@@ -69,33 +91,29 @@ class TestComplexAlgebras:
         assert a.comp[1][2] == 0
 
     def test_m3_vs_golden(self):
-        assert golden.compare_table(m3(), "comp", golden.M3_ORDER,
-                                    golden.M3_COMP) == []
+        assert golden.compare(m3(), "comp", golden.M3_ORDER, golden.M3_COMP) == []
 
     def test_z3_vs_golden(self):
         a = z3_complex()
-        assert golden.compare_table(a, "comp", golden.Z3_ORDER, golden.Z3_COMP) == []
-        assert golden.compare_vector(a, "conv", golden.Z3_ORDER, golden.Z3_CONV) == []
+        assert golden.compare(a, "comp", golden.Z3_ORDER, golden.Z3_COMP) == []
+        assert golden.compare(a, "conv", golden.Z3_ORDER, golden.Z3_CONV) == []
 
     def test_lyndon_d_vs_golden(self):
         a = lyndon_d()
-        assert golden.compare_table(a, "comp", golden.D_ORDER, golden.D_COMP) == []
-        assert golden.compare_table(a, "comp", golden.D_ATOMS,
-                                    golden.D_ATOM_COMP) == []
+        assert golden.compare(a, "comp", golden.D_ORDER, golden.D_COMP) == []
+        assert golden.compare(a, "comp", golden.D_ATOMS, golden.D_ATOM_COMP) == []
 
     def test_a2_vs_golden(self):
         a = a2()
-        assert golden.compare_table(a, "add", golden.A2_ORDER, golden.A2_ADD) == []
-        assert golden.compare_table(a, "comp", golden.A2_ORDER, golden.A2_COMP) == []
-        assert golden.compare_vector(a, "neg", golden.A2_ORDER, golden.A2_NEG) == []
+        assert golden.compare(a, "add", golden.A2_ORDER, golden.A2_ADD) == []
+        assert golden.compare(a, "comp", golden.A2_ORDER, golden.A2_COMP) == []
+        assert golden.compare(a, "neg", golden.A2_ORDER, golden.A2_NEG) == []
 
     def test_a4_vs_golden(self):
-        assert golden.compare_table(a4(), "comp", golden.A4_ORDER,
-                                    golden.A4_COMP) == []
+        assert golden.compare(a4(), "comp", golden.A4_ORDER, golden.A4_COMP) == []
 
     def test_b10_vs_golden(self):
-        assert golden.compare_table(b10(), "comp", golden.B10_ORDER,
-                                    golden.B10_COMP) == []
+        assert golden.compare(b10(), "comp", golden.B10_ORDER, golden.B10_COMP) == []
 
 
 def _group_atoms(g):
@@ -168,8 +186,8 @@ class TestDiffModels:
         assert len(changed) == 6
         # every change is at a singleton row, doubleton column
         assert all(i in (1, 2, 4) and j in (3, 5, 6) for i, j in changed)
-        assert golden.compare_table(a, "comp", golden.Z3_ORDER, golden.A9_COMP) == []
-        assert golden.compare_vector(a, "conv", golden.Z3_ORDER, golden.A9_CONV) == []
+        assert golden.compare(a, "comp", golden.Z3_ORDER, golden.A9_COMP) == []
+        assert golden.compare(a, "conv", golden.Z3_ORDER, golden.A9_CONV) == []
         conv_moved = [i for i in range(8) if a.conv[i] != i]
         assert sorted(a.name_of(i) for i in conv_moved) == \
             sorted(golden.A9_CONV_SWAP)
@@ -179,8 +197,8 @@ class TestDiffModels:
         changed = [(i, j) for i in range(8) for j in range(8)
                    if a.comp[i][j] != base.comp[i][j]]
         assert len(changed) == 4
-        assert golden.compare_table(a, "comp", golden.D_ORDER, golden.B9_COMP) == []
-        assert golden.compare_vector(a, "conv", golden.D_ORDER, golden.B9_CONV) == []
+        assert golden.compare(a, "comp", golden.D_ORDER, golden.B9_COMP) == []
+        assert golden.compare(a, "conv", golden.D_ORDER, golden.B9_CONV) == []
         conv_moved = [i for i in range(8) if a.conv[i] != base.conv[i]]
         assert sorted(a.name_of(i) for i in conv_moved) == \
             sorted(golden.B9_CONV_SWAP)
@@ -316,3 +334,31 @@ class TestRegistry:
             a = build_model(mid)
             assert a.size >= 2
             assert derived_element(a, "one") is not None
+
+
+# sha256 of to_json(build_model(id)) for every catalog id, so that a change
+# to any constructor shows, not only to the models the golden tables hold
+MODEL_DIGESTS = {
+    "a1": "904275bef5a4e95c1911ed7ac9381ff36223714588962623b3a0c6b4cda5359c",
+    "a10": "80ef22c4a782cb3ccbf0050797b4b0adcca2dbe52123a28413b8070603619442",
+    "a2": "2a8699c517d22f94f6c030c6b72bfe2de957d0e575ec44fe85839eca1fd0ff47",
+    "a3": "fc2fbc881f75589ac95f4aeb25c6c9c4b1b97fa8466e34d9ccd4e9c950545df6",
+    "a4": "cc0025d2cda298628b06308aa7d02a1e66a81ed11113bd47018a5ed8cf201aeb",
+    "a5": "84303fee1611455d4a8863ad10984210fffa8d63f6e45dead017694e36e534b3",
+    "a6": "3c33e49eae577fb6db1540b26b885eef2995f307e9c53981f7ee818157a1d981",
+    "a7": "e72c0d1a044eb36223bc0947b5df3f37cd88b4e94b2ed88df9e4b275c2fc3ca7",
+    "a8": "326f368a5330f89649a8e9680ff5aa695f9727922a6f2f462ebc80816e7bc94c",
+    "a9": "85a4b358cee338eed126937096e7ee36749e207421d2bcd4ab51fab8679177ce",
+    "b10": "21bea0138a184c451e034e2c1a5bc45f4fb823f9a1e6692cfb484cfe1cf32af7",
+    "b5": "e1fe72993d6179bc4682434b8656b9ee68979a7bb6fdcb0c02e9918897ee5684",
+    "b9": "b4218f0d34b32e2bec8c81899b54476638c357463e50c3d73b050ea149ed9842",
+    "bra": "a73e6e48984c58b6ebf103625cd7a874b53ae81cf6b1387ac852480a5e82353c",
+    "d": "243e58ddd013efd2e0a0982f15d61faaf25713b6381eeb2f484ed8304f0bf286",
+    "m3": "fcf1e4a1c0379c00f193459dd7af7f1f4a9ed8323b21624e4714fa6436673325",
+    "z3c": "de16e74aed4427b9e72ff6e5693d53b9e3a832ac4b6f47e8d1c3d53429d6fe90",
+}
+
+
+def test_every_model_is_pinned():
+    assert {mid: hashlib.sha256(to_json(build_model(mid)).encode()).hexdigest()
+            for mid in list_models()} == MODEL_DIGESTS

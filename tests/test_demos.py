@@ -1,6 +1,6 @@
 """Every script in demos/, every Python example in README.md and every
 quick-start command of README.md that finishes in seconds runs to
-completion."""
+completion, and each README example prints what its comments say."""
 
 import os
 import re
@@ -29,6 +29,7 @@ def _run(argv, codes=(0,)):
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=60)
     assert proc.returncode in codes, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -39,7 +40,9 @@ def test_demo_runs(demo):
 @pytest.mark.parametrize("code", README_EXAMPLES, ids=[
     f"example{i}" for i in range(1, len(README_EXAMPLES) + 1)])
 def test_readme_example_runs(code):
-    _run(["-c", code])
+    # each ``print(...)  # expected`` line prints the comment up to " — "
+    expected = re.findall(r"^print\(.*\)\s+# (.*?)(?: — .*)?$", code, re.M)
+    assert _run(["-c", code]).splitlines() == expected
 
 
 @pytest.mark.parametrize("argv", QUICK_START,

@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 import pickle
 import sys
 from dataclasses import fields, replace
@@ -1105,8 +1104,7 @@ class TestMinimality:
         assert claim.evidence["certified"] is False
 
 
-@pytest.mark.skipif(os.environ.get("RELALG_LONG") != "1",
-                    reason="long-running; set RELALG_LONG=1 to enable")
+@pytest.mark.long
 def test_full_tarski_size8():
     # every Tarski algebra of size 8, on a budget of exactly its pinned
     # nodes; about 4 s
