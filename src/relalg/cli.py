@@ -174,6 +174,8 @@ def cmd_search(args) -> int:
         ("symmetry_cuts", "symmetry cuts", res.symmetry_cuts),
         ("refuted", "refuted", res.refuted),
         ("instances", "instances", res.instances),
+        ("backjumps", "backjumps", res.backjumps),
+        ("values_skipped", "values skipped", res.values_skipped),
     ]
     if args.json:
         doc = {"size": args.size, **{key: value for key, _, value in fields},

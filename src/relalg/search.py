@@ -30,8 +30,10 @@ front of its cell's watch so that the next value tried there meets it first;
 the front watcher is rechecked before the rest, so a culprit that fails
 again stays where it is; the watchers not reached keep their
 subscriptions.  No instance is violated before a step, so whether it
-fails depends on the new cells alone: the order changes the number of
-rechecks, never the nodes.  A cell gains a value only
+fails depends on the new cells alone; but the first violated instance
+found is the step's culprit, whose conflict set decides how far the
+failure jumps back, so the watch order changes the number of rechecks
+and can change the nodes too.  A cell gains a value only
 in a step that runs its watchers, so at a leaf every instance's last
 evaluation returned True and a propagating search checks nothing there.
 Each ``must_fail`` sentence is compiled the same way but never watched,
@@ -42,6 +44,20 @@ of them hold: a checker answers True or False only once every cell it read
 is decided, so every table below would satisfy the sentence.  A violated
 instance is a witness for the whole subtree.  At a leaf every cell is
 decided, so the same scan is the must-fail verdict.
+
+A failure jumps back over the decisions it does not depend on
+(conflict-directed backjumping; Prosser, Computational Intelligence 9(3),
+1993).  Each node returns a conflict set, a mask of the decision positions
+above it.  A failed step's set is its culprit's: ``blame``, compiled from
+the checker's own lines, ORs the plan's mask of every watched cell the
+violation read, where a decided cell stands for its position, a derived
+cell for its deps' positions and a preset cell for none.  A lex-leader
+cut, a must-fail refutation and a leaf stand for every position above
+them.  A node returns the union of its failed children's sets less its
+own position, and computes no further set once that union holds every
+position above it.  When a child's set lacks the node's position, the
+failure below holds whatever the node's value: the node returns that set
+at once and leaves its other values untried.
 
 Up to isomorphism both searches break symmetry by lex-leader constraints
 alone (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes relabelings
@@ -66,7 +82,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import permutations, product
 
 from .algebra import (FiniteAlgebra, automorphism_count, canonical_form,
@@ -119,6 +135,8 @@ class SearchResult:
     # must-hold instances laid out: those that hold on the preset cells and
     # read no other cell are dropped
     instances: int = 0
+    backjumps: int = 0  # nodes that returned before trying every value
+    values_skipped: int = 0  # the values those nodes left untried
 
 
 # --- cell layout ------------------------------------------------------------
@@ -145,22 +163,27 @@ def _relabeling(n, perm: tuple):
 
 def _compile(s: Sentence, n: int, names, folded):
     """Compile ``s`` at size ``n`` into ``check(cells, watch, inst, ver,
-    values)``, whose first line unpacks the tuple ``values`` into ``names``
-    in order; it returns True, False, or None on an undecided cell, and it
-    is pure, so searches share it through ``_checker``.  It reads cells in
-    evaluation order and subscribes ``inst``, an instance id, to each as it
-    reads it, the blocking cell included, by ``watch[k][inst] = ver``; cells
-    of the regions whose base offset is in ``folded`` never change and are
-    neither tested nor watched.  A repeated subterm is evaluated once.  A
-    quasi-equation is True at its first false antecedent and blocks if any
-    antecedent blocked; a biconditional blocks on its left side before
-    evaluating its right."""
+    values)`` and ``blame(cells, mask, values)``, two functions from one
+    line list, whose first line unpacks the tuple ``values`` into ``names``
+    in order.  ``check`` returns True, False, or None on an undecided cell,
+    and it is pure, so searches share it through ``_checker``.  It reads
+    cells in evaluation order and subscribes ``inst``, an instance id, to
+    each as it reads it, the blocking cell included, by ``watch[k][inst] =
+    ver``; cells of the regions whose base offset is in ``folded`` never
+    change and are neither tested nor watched.  A repeated subterm is
+    evaluated once.  A quasi-equation is True at its first false antecedent
+    and blocks if any antecedent blocked; a biconditional blocks on its
+    left side before evaluating its right.  ``blame`` runs the same lines
+    with ``m |= mask[k]`` in place of each subscription and returns ``m``:
+    on cells where ``check`` returns False it reads the same cells, so it
+    returns the OR of ``mask[k]`` over every watched cell the violation
+    read."""
     _, neg0, conv0, add0, comp0, _ = _layout(n)
     args = {name: f"v{i}" for i, name in enumerate(names)}
-    lines = ["def check(cells, watch, inst, ver, values):",
-             f"    [{', '.join(args.values())}] = values"]
+    lines = [f"    [{', '.join(args.values())}] = values"]
     memo: dict = {}
     indent, block = "    ", "return None"  # what an undecided cell runs
+    read = "READ"  # each subscription: ``watch`` in check, ``mask`` in blame
 
     def emit(line):
         lines.append(indent + line)
@@ -171,7 +194,7 @@ def _compile(s: Sentence, n: int, names, folded):
             emit(f"{t} = cells[{base} + {index}]")
         else:
             emit(f"k = {base} + {index}")
-            emit(f"watch[k][inst] = ver; {t} = cells[k]")
+            emit(f"{read}; {t} = cells[k]")
             emit(f"if {t} is None: {block}")
         return t
 
@@ -225,17 +248,23 @@ def _compile(s: Sentence, n: int, names, folded):
         emit(f"return {atomic(s)}")
     else:
         raise TypeError(f"not a sentence: {s!r}")
+    # the verdict is the last line; blame returns its mask there instead
+    check = ["def check(cells, watch, inst, ver, values):", *lines]
+    blame = ["def blame(cells, mask, values):", "    m = 0", *lines[:-1],
+             "    return m"]
     namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["check"]
+    exec("\n".join(check).replace(read, "watch[k][inst] = ver"), namespace)
+    exec("\n".join(blame).replace(read, "m |= mask[k]"), namespace)
+    return namespace["check"], namespace["blame"]
 
 
 @cache
 def _checker(s: Sentence, n: int, preset: tuple):
     """``s`` compiled at size ``n`` and evaluated once on ``preset``, a
-    plan's preset cells.  Returns the checker, which reads
-    the regions that ``preset`` fully decides as constants; whether some
-    instance is violated; the values of its instances, every assignment of
+    plan's preset cells.  Returns the checker and its blame (``_compile``),
+    which read the regions that ``preset`` fully decides as constants;
+    whether some instance is violated; the values of its instances, every
+    assignment of
     elements to its free variables in order, less those that hold and
     subscribe nowhere (they read only preset cells, so they hold in every
     table); and, for each cell that some instance subscribed to, the
@@ -247,7 +276,7 @@ def _checker(s: Sentence, n: int, preset: tuple):
     regions = zip(_layout(n)[:-1], (1, n, n, n * n, n * n))
     folded = frozenset(base for base, size in regions
                        if None not in preset[base:base + size])
-    check = _compile(s, n, names, folded)
+    check, blame = _compile(s, n, names, folded)
     values = list(product(range(n), repeat=len(names)))
     watch = [{} for _ in preset]  # records each subscription, by position
     verdicts = [check(preset, watch, i, 0, v) for i, v in enumerate(values)]
@@ -257,7 +286,7 @@ def _checker(s: Sentence, n: int, preset: tuple):
     position = {i: j for j, i in enumerate(kept)}
     watchers = tuple((c, tuple(position[i] for i in w))
                      for c, w in enumerate(watch) if w)
-    return (check, False in verdicts, tuple(values[i] for i in kept),
+    return (check, blame, False in verdicts, tuple(values[i] for i in kept),
             watchers)
 
 
@@ -268,8 +297,11 @@ class _Plan:
     (only an iso run reads them), and the root state: the must-hold instances
     ``_checker`` keeps, as ids into parallel lists, each subscribed at
     version 0 to the cells it read, in id order; the kept must-fail
-    instances; whether something is already violated.  Without propagation
-    the root state is empty and nothing is compiled."""
+    instances; whether something is already violated.  For conflict-directed
+    backjumping, each cell's mask of decision positions: bit p for the
+    variable at position p, the OR of its deps' masks for a derived cell, 0
+    for a preset cell.  Without propagation the root state is empty and
+    nothing is compiled."""
 
     def __init__(self, n, must_hold, must_fail, propagate, rules):
         self.n = n
@@ -285,11 +317,13 @@ class _Plan:
             for d in deps:
                 self.derived_by_dep.setdefault(d, []).append((target, deps))
         self.variables = self.decision_cells()
+        self.masks = self.position_masks()
         # per relabeling: (image sources, value map, next position), for lex_leader
         self.tied = tuple((tuple(src[v] for v in self.variables), vmap, 0)
                           for src, vmap in relabelings)
-        # must-hold instance i: its checker, variable values and sentence index
-        self.checks, self.values, self.owner = [], [], []
+        # must-hold instance i: its checker, blame, variable values and
+        # sentence index
+        self.checks, self.blames, self.values, self.owner = [], [], [], []
         # watch[c]: instance -> stamp of the subscription that read cell c
         self.watch: list[dict] = [{} for _ in range(self.total)]
         # per must-fail sentence: its checker and the values of its instances
@@ -299,15 +333,16 @@ class _Plan:
             return
         preset = tuple(self.cells)
         for i, s in enumerate(must_hold):
-            check, violated, values, watchers = _checker(s, n, preset)
+            check, blame, violated, values, watchers = _checker(s, n, preset)
             base = len(self.checks)
             self.checks += [check] * len(values)
+            self.blames += [blame] * len(values)
             self.values += values
             self.owner += [i] * len(values)
             for c, positions in watchers:
                 self.watch[c].update((base + j, 0) for j in positions)
             self.violated = self.violated or violated
-        self.refuters = [_checker(s, n, preset)[::2] for s in must_fail]
+        self.refuters = [_checker(s, n, preset)[::3] for s in must_fail]
 
     def decision_cells(self):
         """Every cell neither preset nor derived, in layout order, except
@@ -328,6 +363,17 @@ class _Plan:
             free = [c for c in free if c < comp0] + comp
         return free
 
+    def position_masks(self):
+        """Each cell's mask of the decision positions it depends on."""
+        position = {c: p for p, c in enumerate(self.variables)}
+        rules = dict(self.derived)
+
+        def mask(c):
+            if c in rules:
+                return reduce(operator.or_, map(mask, rules[c]))
+            return 1 << position[c] if c in position else 0
+        return [mask(c) for c in range(self.total)]
+
 
 # each problem's plan, keyed by (size, must_hold, must_fail, propagate,
 # rules), shared by its labeled and iso runs and by repeats in one process;
@@ -347,6 +393,7 @@ class _Engine:
         # per must-hold instance: the stamp of the step that last rechecked it
         self.version = [0] * len(plan.checks)
         self.checks, self.values, self.owner = plan.checks, plan.values, plan.owner
+        self.blames, self.masks = plan.blames, plan.masks
         self.refuters, self.derived_by_dep = plan.refuters, plan.derived_by_dep
         self.sink: list[dict] = [{}] * plan.total  # what must-fail checkers watch
         self.stamp = 0  # counts the propagation steps
@@ -384,9 +431,9 @@ class _Engine:
     def set_cell(self, cell, value, trail):
         """Assign a cell, fill any now-determined derived cells, and run the
         watchers of everything that changed, each instance at most once.
-        Returns False at the first violated instance, counted as its
-        sentence's conflict and moved to the front of the cell's watch; the
-        watchers not reached stay subscribed for after the undo.  A cell's
+        Returns None, or the first violated instance, the culprit, counted as
+        its sentence's conflict and moved to the front of the cell's watch;
+        the watchers not reached stay subscribed for after the undo.  A cell's
         front watcher, often the last culprit there, is rechecked before its
         watch is swapped for a fresh dict, so a repeated culprit fails in
         place, with no rebuild."""
@@ -424,7 +471,7 @@ class _Engine:
                     watchers[inst] = stamp
                     self.rechecks += rechecks
                     self.conflicts[self.owner[inst]] += 1
-                    return False
+                    return inst
             watch[c] = kept = {}
             entries = iter(watchers.items())
             for inst, ver in entries:
@@ -444,9 +491,15 @@ class _Engine:
                     watch[c] = fresh
                     self.rechecks += rechecks
                     self.conflicts[self.owner[inst]] += 1
-                    return False
+                    return inst
         self.rechecks += rechecks
-        return True
+        return None
+
+    def blame(self, culprit):
+        """The decision positions the violation of ``culprit``, a failed
+        step's culprit, depends on: the OR of the masks of the cells its
+        check read.  Called before the step is undone."""
+        return self.blames[culprit](self.cells, self.masks, self.values[culprit])
 
     def undo(self, trail):
         cells = self.cells
@@ -492,7 +545,17 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
     the lex-least labeling of every class, which is never larger than an
     image, is kept, and at the identity cell, decided first, only the least
     identity of each orbit survives.  A labeled run, which must reach every
-    labeling, shares the plan but compares with none of them."""
+    labeling, shares the plan but compares with none of them.
+
+    ``dfs`` returns each node's conflict set (module docstring).  A set
+    without the node's position means that no model agrees with the
+    decided cells on the set's positions, whatever the node's value, so
+    the values left untried hold no model; a cut, a refutation and a leaf
+    return every position above them, so no node jumps over a model, a
+    lex-least labeling or a symmetry that cut.  A failed step's set always
+    holds the node's position, since its culprit read a cell the step
+    set, so it is not tested for a jump.  ``backjumps`` counts the nodes
+    that returned early and ``values_skipped`` the values they left."""
     n = spec.size
     if plan.violated:
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
@@ -536,31 +599,50 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
         return still
 
     limit = spec.node_limit
+    blame = eng.blame
+    backjumps = skipped = 0
 
     def dfs(depth, tied, resume):
-        nonlocal nodes, cuts, exhausted
+        """Search below a node at ``depth``; returns its conflict set, a mask
+        of the positions above it (bit p for ``variables[p]``)."""
+        nonlocal nodes, cuts, exhausted, backjumps, skipped
         nodes += 1
+        above = (1 << depth) - 1
         if limit is not None and nodes > limit:
             exhausted = False
-            return
+            return above
         if depth == len(variables):
             accept(resume)
-            return
+            return above
         resume = eng.refute(resume)
         if resume is None:
-            return
-        cell = variables[depth]
+            return above
+        cell, own = variables[depth], 1 << depth
+        full = above | own
+        conflict = own  # the union of the failed children's sets
         for value in range(n):
             trail: list[int] = []
-            if eng.set_cell(cell, value, trail):
+            culprit = eng.set_cell(cell, value, trail)
+            if culprit is None:
                 below = lex_leader(depth, tied)
                 if below is None:
                     cuts += 1
+                    conflict = full
                 else:
-                    dfs(depth + 1, below, resume)
+                    found = dfs(depth + 1, below, resume)
+                    if not found & own:
+                        # the failure below holds whatever this cell's value
+                        eng.undo(trail)
+                        backjumps += 1
+                        skipped += n - 1 - value
+                        return found
+                    conflict |= found
+            elif conflict != full:  # else no set can add to it
+                conflict |= blame(culprit)
             eng.undo(trail)
             if not exhausted:
-                return
+                return full
+        return conflict ^ own
 
     dfs(0, plan.tied if spec.up_to_iso else (), [0] * len(spec.must_fail))
 
@@ -569,7 +651,7 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
                         eng.rechecks, tuple(eng.conflicts), cuts,
-                        eng.refuted, len(plan.checks))
+                        eng.refuted, len(plan.checks), backjumps, skipped)
 
 
 def search(spec: SearchSpec) -> SearchResult:

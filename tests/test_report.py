@@ -252,7 +252,7 @@ class TestSuiteSmoke:
         # search's nodes are counted once
         report = run_verification_suite()
         assert sum(row["nodes"] for c in report.claims
-                   for row in c.evidence.get("sizes", ())) == 3831
+                   for row in c.evidence.get("sizes", ())) == 2248
         assert not [c for c in report.claims if "nodes_explored" in c.evidence]
 
 

@@ -3,7 +3,9 @@ import math
 import pickle
 import sys
 from dataclasses import fields, replace
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -155,12 +157,12 @@ def test_reference_does_not_use_a_broken_checker(runner, spec, broken,
 
     def breaking(s, *args):
         compiled.append(s)
-        check = compile_(s, *args)
+        check, blame = compile_(s, *args)
 
         def broken_check(*a):
             held = check(*a)
             return True if held is False else held
-        return broken_check if s == axiom_sentence(broken) else check
+        return (broken_check if s == axiom_sentence(broken) else check), blame
     monkeypatch.setattr(engine, "_compile", breaking)
     naive = naive_enumerate(spec).labeled_count
     assert runner(spec).labeled_count != naive
@@ -177,28 +179,30 @@ def _search8_spec():
 
 
 # (runner, spec, nodes_explored, rechecks, failed propagation steps,
-# symmetry cuts, refuted branches), as this engine counts them: a step
-# rechecks each instance at most once and stops at its first violated
-# instance, that instance is rechecked first the next time its cell is set,
-# and a successful step is followed by the lex-leader cut, which also cuts
-# at the identity cell every identity that passes the step and is not the
-# least of its orbit; each node, leaves included, then scans the must-fail
-# instances and cuts the branch if a must-fail sentence holds on all of them
+# symmetry cuts, refuted branches, backjumps, values skipped), as this
+# engine counts them: a step rechecks each instance at most once and stops
+# at its first violated instance, that instance is rechecked first the next
+# time its cell is set, and a successful step is followed by the lex-leader
+# cut, which also cuts at the identity cell every identity that passes the
+# step and is not the least of its orbit; each node, leaves included, then
+# scans the must-fail instances and cuts the branch if a must-fail sentence
+# holds on all of them; a node whose child failed on a conflict set without
+# the node's position returns at once
 PINNED_COUNTS = {
     # every branch is refuted before a leaf
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                37, 671, 224, 4, 4),
+                                37, 671, 224, 4, 4, 0, 0),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 1342, 19646, 2667, 15, 0),
+        up_to_iso=True), 509, 7595, 860, 14, 0, 140, 142),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 706, 18671, 2055, 44, 3),
+        up_to_iso=True), 570, 15325, 1393, 44, 3, 126, 254),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 1912, 69707, 5680, 57, 0),
+        _axioms(("R4",)), up_to_iso=True), 498, 18197, 949, 43, 0, 248, 503),
 }
 
 
@@ -206,9 +210,16 @@ def _run_pinned(name):
     """Run a pinned search with a budget of exactly its pinned nodes, so that
     one that lost its pruning stops there and fails at once instead of
     running on.  Returns the result and the pinned (nodes, rechecks,
-    failed steps, symmetry cuts, refuted branches)."""
+    failed steps, symmetry cuts, refuted branches, backjumps, values
+    skipped)."""
     runner, spec, *counts = PINNED_COUNTS[name]
     return runner(replace(spec, node_limit=counts[0])), *counts
+
+
+def _counts(res):
+    """The result's counts in the order ``PINNED_COUNTS`` pins them."""
+    return [res.nodes_explored, res.rechecks, sum(res.conflicts),
+            res.symmetry_cuts, res.refuted, res.backjumps, res.values_skipped]
 
 
 # sentences beyond the catalog: the constants 0 and 1, meet, and
@@ -264,18 +275,16 @@ class TestCompiledChecker:
         assert res.exhaustive
         # a failed step has exactly one culprit, counted for its sentence
         assert len(res.conflicts) == len(PINNED_COUNTS[name][1].must_hold)
-        assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
-                res.symmetry_cuts, res.refuted] == counts
+        assert _counts(res) == counts
 
     def test_pinned_size8_tree(self):
         # R_SYS with R7 must-fail at size 8 has no model, on a tree that
-        # propagates, fails steps, cuts and refutes at every depth; a budget
-        # of exactly its pinned nodes, about 0.7 s
+        # propagates, fails steps, cuts, refutes and jumps at every depth; a
+        # budget of exactly its pinned nodes, about 0.3 s
         res = boolean_guided_search(SearchSpec(
-            8, _axioms(R_SYS), _axioms(("R7",)), up_to_iso=True, node_limit=7742))
+            8, _axioms(R_SYS), _axioms(("R7",)), up_to_iso=True, node_limit=2964))
         assert res.exhaustive and res.iso_class_count == 0
-        assert [res.nodes_explored, res.rechecks, sum(res.conflicts),
-                res.symmetry_cuts, res.refuted] == [7742, 524495, 53836, 255, 13]
+        assert _counts(res) == [2964, 218528, 16026, 166, 13, 868, 4453]
         assert res.instances == 1168
 
     def test_instances_drop_what_holds_on_the_preset(self):
@@ -293,19 +302,26 @@ class TestCompiledChecker:
 
     @pytest.mark.parametrize("model_id", list_models())
     def test_agrees_with_holds(self, model_id):
+        # and where the check is False, its blame ORs the mask of every cell
+        # the check read, here a bit of its own per cell, and of no other
         a = build_model(model_id)
         n, cells = a.size, _cells(a)
+        bits = [1 << k for k in range(len(cells))]
         every_region = set(_layout(n)[:-1])
         for text in (*AXIOM_TEXT.values(), *EXTRA_SENTENCES):
             s = parse_sentence(text)
             names = sorted(free_vars(s))
-            plain = _compile(s, n, names, set())
-            folded = _compile(s, n, names, every_region)
+            plain, blame = _compile(s, n, names, set())
+            folded, folded_blame = _compile(s, n, names, every_region)
             for values in product(range(n), repeat=len(names)):
                 want = holds(a, s, dict(zip(names, values)))
                 watch = _Recorder()
                 assert plain(cells, watch, None, 0, values) is want, (text, values)
                 assert watch.reads
+                if want is False:
+                    assert blame(cells, bits, values) == sum(bits[k] for k in
+                                                             set(watch.reads))
+                    assert folded_blame(cells, bits, values) == 0
                 watch = _Recorder()
                 assert folded(cells, watch, None, 0, values) is want, (text, values)
                 assert watch.reads == []
@@ -374,13 +390,13 @@ class TestCompiledChecker:
         checked, rechecks = [], []  # since the last step; in every step
 
         def counting_compile(*args):
-            check = compile_(*args)
+            check, blame = compile_(*args)
 
             def counted(cells, watch, inst, ver, values):
                 if inst is not None:
                     checked.append(inst)
                 return check(cells, watch, inst, ver, values)
-            return counted
+            return counted, blame
 
         def spy_set_cell(eng, *args):
             checked.clear()
@@ -417,10 +433,10 @@ class TestCompiledChecker:
                     assert eng.watch[k].get(inst) == eng.version[inst], (inst, k)
 
         def spy_set_cell(eng, cell, value, trail):
-            ok = set_cell(eng, cell, value, trail)
-            if ok:
+            culprit = set_cell(eng, cell, value, trail)
+            if culprit is None:
                 assert_subscribed(eng)
-            return ok
+            return culprit
 
         def spy_undo(eng, trail):
             undo(eng, trail)
@@ -429,7 +445,31 @@ class TestCompiledChecker:
         monkeypatch.setattr(engine._Engine, "undo", spy_undo)
         res, *_ = _run_pinned("tarski-r7-size4")
         assert res.exhaustive
-        assert len(checked) > 3000
+        assert len(checked) > 2500
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_conflict_sets_violate_their_culprit(self, name, engine, monkeypatch):
+        # a conflict set must be enough to violate its culprit on its own;
+        # equal counts alone would not show a wrong culprit or set
+        plan, conflicts = _conflict_sets(name, engine, monkeypatch)
+        assert conflicts
+        assert _insufficient(plan, conflicts) == []
+        # and each holds the failed node's own position, the deepest decided
+        # one, so a failed step is never a jump
+        for _, _, cells, found in conflicts:
+            deepest = max(p for p, c in enumerate(plan.variables)
+                          if cells[c] is not None)
+            assert found.bit_length() - 1 == deepest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_a_set_without_its_highest_position_is_caught(self, name, engine,
+                                                          monkeypatch):
+        # the check above fails a blame that drops the latest decision
+        def drop_highest(found):
+            return found & ~(1 << found.bit_length() - 1) if found else found
+        plan, conflicts = _conflict_sets(name, engine, monkeypatch, drop_highest)
+        assert conflicts
+        assert _insufficient(plan, conflicts)
 
     def test_blocking_rules(self):
         a = build_model("m3")
@@ -437,10 +477,11 @@ class TestCompiledChecker:
         comp0 = _layout(n)[4]
         cells = _cells(a)
         cells[comp0:comp0 + n * n] = [None] * (n * n)
-        r4 = _compile(axiom_sentence("R4"), n, ["r", "s", "t"], set())
-        quasi = _compile(parse_sentence("r;s = r, r+s = r, (r;s)^ = s -> r = s"),
-                         n, ["r", "s"], set())
-        bicond = _compile(parse_sentence("r;s = r <-> r+s = r"), n, ["r", "s"], set())
+        r4, _ = _compile(axiom_sentence("R4"), n, ["r", "s", "t"], set())
+        quasi, _ = _compile(parse_sentence("r;s = r, r+s = r, (r;s)^ = s -> r = s"),
+                            n, ["r", "s"], set())
+        bicond, _ = _compile(parse_sentence("r;s = r <-> r+s = r"), n, ["r", "s"],
+                             set())
         for r, s, t in product(range(n), repeat=3):
             watch = _Recorder()
             assert r4(cells, watch, None, 0, (r, s, t)) is None
@@ -456,6 +497,54 @@ class TestCompiledChecker:
             watch = _Recorder()
             assert bicond(cells, watch, None, 0, (r, s)) is None
             assert watch.reads == [comp0 + r * n + s]
+
+
+def _conflict_sets(name, engine, monkeypatch, change=None):
+    """Run a pinned search and record every conflict set it computes, each
+    as (the culprit's check, its values, the cells it failed on, the set),
+    where ``change``, if given, alters each set before the search uses it.
+    Returns the search's plan and the records."""
+    compile_, conflicts = engine._compile, []
+
+    def recording(*args):
+        check, blame = compile_(*args)
+
+        def recorded(cells, mask, values):
+            found = blame(cells, mask, values)
+            if change is not None:
+                found = change(found)
+            conflicts.append((check, values, list(cells), found))
+            return found
+        return check, recorded
+    monkeypatch.setattr(engine, "_compile", recording)
+    runner, spec, *_ = PINNED_COUNTS[name]
+    _run_pinned(name)
+    return _plan_of(runner, spec, engine, monkeypatch), conflicts
+
+
+def _insufficient(plan, conflicts):
+    """The recorded conflicts whose culprit is not violated on the cells
+    rebuilt from the set alone: the decision cells at its positions, the
+    preset cells, and the derived cells that follow from them.  Each culprit
+    must also be violated on the cells it failed on."""
+    bad = []
+    for check, values, cells, found in conflicts:
+        assert check(cells, _Recorder(), None, 0, values) is False
+        rebuilt = list(plan.cells)
+        for p, c in enumerate(plan.variables):
+            if found >> p & 1:
+                rebuilt[c] = cells[c]
+        fired = True
+        while fired:
+            fired = False
+            for target, deps in plan.derived:
+                if rebuilt[target] is None and None not in map(rebuilt.__getitem__,
+                                                               deps):
+                    rebuilt[target] = reduce(or_, map(rebuilt.__getitem__, deps))
+                    fired = True
+        if check(rebuilt, _Recorder(), None, 0, values) is not False:
+            bad.append((values, found))
+    return bad
 
 
 def _counting_compile(engine, monkeypatch):
@@ -504,7 +593,7 @@ def _every_instance_evaluated(plan, sentences):
     verdict, free = True, set()
     for i, s in enumerate(sentences):
         names = sorted(free_vars(s))
-        check = _compile(s, n, names, folded)
+        check, _ = _compile(s, n, names, folded)
         for values in product(range(n), repeat=len(names)):
             held = check(cells, watch, (i, values), 0, values)
             verdict = verdict and held is not False
@@ -587,8 +676,7 @@ class TestCheckerCache:
         after, *_ = _run_pinned(name)
         assert cold.exhaustive
         assert cold == warm == after
-        assert [warm.nodes_explored, warm.rechecks, sum(warm.conflicts),
-                warm.symmetry_cuts, warm.refuted] == counts
+        assert _counts(warm) == counts
         forms = [[canonical_form(m) for m in res.models]
                  for res in (cold, warm, after)]
         assert forms[0] == forms[1] == forms[2]
@@ -638,8 +726,9 @@ class TestCheckerCache:
         assert sent == key
         assert vars(engine._Plan(*sent)) == vars(_plan(*key))
 
-    @pytest.mark.parametrize("name, iso_nodes", [("tarski-size4", 297),
-                                                 ("tarski-minus-r2-size2", 55)])
+    @pytest.mark.parametrize("name, iso_nodes", [
+        pytest.param("tarski-size4", 256, id="tarski-size4"),
+        pytest.param("tarski-minus-r2-size2", 40, id="tarski-minus-r2-size2")])
     def test_labeled_and_iso_runs_share_one_plan(self, name, iso_nodes):
         # the plan keeps its relabelings' image sources, which only the iso
         # run reads, so both runs of one problem build one plan
@@ -708,27 +797,27 @@ SYMMETRY_ORACLE_SPECS = {
     # no must-fail, so both runs reach leaves; S3 acts at masks 0 and 7
     "rsys-symmetric-size8": (boolean_guided_search,
                              replace(_search8_spec(), must_fail=()),
-                             4486, 10, 329280),
+                             3972, 10, 329280),
     "tarski-size4": (boolean_guided_search, SearchSpec(4, _axioms(TARSKI)),
-                     571, 3, 60),
+                     436, 3, 60),
     "rsys-size4": (boolean_guided_search, SearchSpec(4, _axioms(R_SYS)),
-                   349, 3, 60),
+                   271, 3, 60),
     # R8 and R8p both held: comp is derived from {0, atoms}^2
     "ssys-size4": (boolean_guided_search, SearchSpec(4, _axioms(S_SYS)),
-                   1605, 3, 60),
+                   1004, 3, 60),
     "ssys-r7-size4": (boolean_guided_search,
                       SearchSpec(4, _axioms(S_SYS), _axioms(("R7",))),
-                      1605, 0, 0),
+                      1004, 0, 0),
     # the generic search with R1 held, which derives add[j][i] from add[i][j]
     "tarski-minus-r2-size2": (search,
                               SearchSpec(2, _axioms(i for i in TARSKI if i != "R2")),
-                              110, 1, 2),
+                              80, 1, 2),
     **{name: (*PINNED_COUNTS[name][:2], nodes, classes, labelings)
        for name, nodes, classes, labelings in (
            ("rsys-r9-symmetric-size8", 73, 0, 0),
-           ("tarski-r2-size3", 11410, 1, 6),
-           ("tarski-r7-size4", 1620, 2, 48),
-           ("mixed-r4-size4", 4767, 0, 0))},
+           ("tarski-r2-size3", 2846, 1, 6),
+           ("tarski-r7-size4", 1027, 2, 48),
+           ("mixed-r4-size4", 1162, 0, 0))},
 }
 
 
@@ -749,7 +838,9 @@ def _least_identities(runner, n):
 def _root_survivors(runner, spec, engine, monkeypatch):
     """The identities that pass the lex-leader comparison at the identity
     cell, the first decision, and how many it cut.  Every step below the
-    root is failed, so each surviving identity costs one node."""
+    root is failed, by a culprit that read every decided cell, so that no
+    node jumps back over the identity and each surviving identity costs
+    one node."""
     set_cell, survivors = engine._Engine.set_cell, []
 
     def spy(eng, cell, value, trail):
@@ -758,9 +849,13 @@ def _root_survivors(runner, spec, engine, monkeypatch):
             return set_cell(eng, cell, value, trail)
         if eng.cells[ident] not in survivors:
             survivors.append(eng.cells[ident])
-        return False
+        return 0
+
+    def every_position(eng, culprit):
+        return (1 << len(eng.plan.variables)) - 1
     with monkeypatch.context() as m:
         m.setattr(engine._Engine, "set_cell", spy)
+        m.setattr(engine._Engine, "blame", every_position)
         res = runner(spec)
     assert res.exhaustive
     return survivors, res.symmetry_cuts
@@ -1014,12 +1109,12 @@ class TestMustFailSemantics:
         held = SearchSpec(4, _axioms(TARSKI), up_to_iso=True)
         base = boolean_guided_search(held)
         assert (base.iso_class_count, base.labeled_count,
-                base.nodes_explored) == (3, 60, 297)
+                base.nodes_explored) == (3, 60, 256)
         res = boolean_guided_search(
             replace(held, must_fail=(parse_sentence("r+s = r"),)))
         assert res.exhaustive and _forms(res.models) == _forms(base.models)
         assert (res.iso_class_count, res.labeled_count, res.nodes_explored,
-                res.refuted) == (3, 60, 297, 0)
+                res.refuted) == (3, 60, 256, 0)
         res = boolean_guided_search(
             replace(held, must_fail=(parse_sentence("r+s = s+r"),)))
         assert res.exhaustive
@@ -1083,11 +1178,11 @@ class TestMinimality:
         assert all(s["models"] == 0 and s["exhaustive"] for s in sizes)
 
     def test_r9_below_eight_skips_non_powers(self, engine, monkeypatch):
-        # each search gets the budget the size-4 one needs, 451 nodes, so
+        # each search gets the budget the size-4 one needs, 332 nodes, so
         # one that lost its pruning stops there and fails at once
         run = engine._run
         monkeypatch.setattr(engine, "_run", lambda spec, plan:
-                            run(replace(spec, node_limit=451), plan))
+                            run(replace(spec, node_limit=332), plan))
         claim = _suite_claims()["paper.s11.r9-minimality"]
         sizes = claim.evidence["sizes"]
         assert [s["size"] for s in sizes if s["skipped"] is None] == [1, 2, 4]
@@ -1107,8 +1202,8 @@ class TestMinimality:
 @pytest.mark.long
 def test_full_tarski_size8():
     # every Tarski algebra of size 8, on a budget of exactly its pinned
-    # nodes; about 4 s
-    nodes = 31840
+    # nodes; about 1 s
+    nodes = 10268
     res = boolean_guided_search(SearchSpec(8, _axioms(TARSKI), up_to_iso=True,
                                            node_limit=nodes))
     assert res.exhaustive and res.nodes_explored == nodes
@@ -1117,8 +1212,8 @@ def test_full_tarski_size8():
 
 
 # The canonical forms of the four classes R_SYS - R9 + {not R9} has at size
-# 8, in the order the finished guided search lists them (1,863,089 nodes,
-# about 160 s on one core); the last is b9's class.
+# 8, in the order the finished guided search lists them (267,032 nodes,
+# about 20 s on one core, test_size8_tree); the last is b9's class.
 RSYS_MINUS_R9_SIZE8 = [
     ("0800010003020504070600010203040605070002020004070407020102010201"
      "0102020202020202020200010203040506070402020404020402070102050205"
@@ -1169,6 +1264,34 @@ def test_rsys_minus_r9_size8_classes():
     b9 = build_model("b9")
     assert [find_isomorphism(a, b9) is not None for a in models] == \
         [False, False, False, True]
+
+
+# size-8 trees run to the end on a budget of exactly their pinned nodes:
+# (system, target axiom, nodes, classes, labelings, the classes' canonical
+# forms or None).  The two R9 uniqueness searches take about 20 s and 45 s
+# on one core, Tarski - R4 about 2 s
+SIZE8_TREES = {
+    "rsys-r9": (R_SYS, "R9", 267032, 4, 80640, RSYS_MINUS_R9_SIZE8),
+    "tarski-r9": (TARSKI, "R9", 685652, 1, 20160, "a9"),
+    "tarski-r4": (TARSKI, "R4", 48213, 6, 141120, None),
+}
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("name", sorted(SIZE8_TREES))
+def test_size8_tree(name):
+    system, target, nodes, classes, labelings, forms = SIZE8_TREES[name]
+    res = boolean_guided_search(SearchSpec(
+        8, _axioms(i for i in system if i != target), _axioms((target,)),
+        up_to_iso=True, node_limit=nodes))
+    assert res.exhaustive and res.nodes_explored == nodes
+    assert (res.iso_class_count, res.labeled_count) == (classes, labelings)
+    assert all(failing_axioms(status_vector(m, system)) == [target]
+               for m in res.models)
+    if forms == "a9":
+        forms = [canonical_form(build_model("a9")).hex()]
+    if forms is not None:
+        assert [canonical_form(m).hex() for m in res.models] == forms
 
 
 class TestCustomSentences:
