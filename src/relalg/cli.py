@@ -193,12 +193,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    budget = {}  # the suite's own default unless --limit is given
-    if args.limit is not None:
-        if not args.long:
-            raise ValueError("--limit applies only with --long")
-        budget["long_node_limit"] = args.limit
-    report = run_verification_suite(include_long_running=args.long, **budget)
+    if args.limit is not None and not args.long:
+        raise ValueError("--limit applies only with --long")
+    report = run_verification_suite(include_long_running=args.long,
+                                    long_node_limit=args.limit)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
     else:
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", action="store_true",
                    help="include the long-running uniqueness searches")
     p.add_argument("--limit", type=int,
-                   help="node limit of each long search (default 50000)")
+                   help="node limit of each long search (default: no limit)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_paper)
 

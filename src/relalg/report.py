@@ -17,7 +17,7 @@ from .algebra import FiniteAlgebra, find_isomorphism
 from .axioms import (BOOLEAN, R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
                      exists_right_identity, failing_axioms)
 from .catalog import build_model, list_models
-from .search import SearchResult, SearchSpec, _search_for, boolean_guided_search
+from .search import SearchSpec, _search_for, boolean_guided_search
 from .terms import check_validity, holds
 from . import golden
 
@@ -241,7 +241,7 @@ def _golden_check(a: FiniteAlgebra, ident: str, comparisons):
 
 
 def run_verification_suite(include_long_running: bool = False,
-                           long_node_limit: int | None = 50_000) -> Report:
+                           long_node_limit: int | None = None) -> Report:
     if long_node_limit is not None:  # raise a bad budget before any claim runs
         SearchSpec(8, (), node_limit=long_node_limit)
     claims: list[Claim] = []
@@ -330,7 +330,7 @@ def run_verification_suite(include_long_running: bool = False,
                               up_to_iso=True, node_limit=node_limit)
             runner = _search_for(spec)
             skipped = runner is boolean_guided_search and n & (n - 1)
-            res = SearchResult([], 0, 0, True, 0) if skipped else runner(spec)
+            res = runner(spec)
             rows.append({"size": n, "models": res.iso_class_count,
                          "labeled": res.labeled_count, "exhaustive": res.exhaustive,
                          "skipped": "not a power of two: no Boolean skeleton"

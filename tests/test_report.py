@@ -140,13 +140,19 @@ class TestBudgetAborts:
         assert budget_cut_report.overall == "inconclusive"
 
     def test_verify_paper_exits_3(self, budget_cut_report, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_verification_suite",
-                            lambda include_long_running: budget_cut_report)
+        calls = []
+
+        def suite(**kwargs):
+            calls.append(kwargs)
+            return budget_cut_report
+        monkeypatch.setattr(cli, "run_verification_suite", suite)
         assert cli.main(["verify-paper", "--long"]) == 3
         out = capsys.readouterr().out
         assert f"[INCONCLUSIVE] {LONG_CLAIMS[0]}" in out
         assert cli.main(["verify-paper", "--long", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
+        # without --limit, the long searches get no budget
+        assert calls == [{"include_long_running": True, "long_node_limit": None}] * 2
 
     def test_a_cut_search_is_never_a_failure(self, capsys, engine, monkeypatch):
         # every search without a budget of its own stops after 5 nodes
@@ -181,14 +187,23 @@ class TestLongBudget:
                                        long_node_limit=limit)
         assert built == []
 
+    def test_long_searches_run_to_the_end_by_default(self, monkeypatch):
+        specs = []
+        _finished_size8_claims(monkeypatch, [build_model("b9")], specs)
+        assert [spec.must_fail for spec in specs] == [(axiom_sentence("R9"),)] * 2
+        assert [spec.node_limit for spec in specs] == [None, None]
 
-def _finished_size8_claims(monkeypatch, rsys_models):
+
+def _finished_size8_claims(monkeypatch, rsys_models, specs=None):
     """The long suite's claims by id, with made-up finished size-8 searches:
-    the full system finds a9 alone, the reduced one ``rsys_models``."""
+    the full system finds a9 alone, the reduced one ``rsys_models``.  The
+    size-8 specs are appended to ``specs`` when it is given."""
     suite = sys.modules["relalg.report"]
     search_for = suite._search_for
 
     def finished(spec):
+        if specs is not None:
+            specs.append(spec)
         # of the two systems, only R_SYS holds R8p
         models = rsys_models if axiom_sentence("R8p") in spec.must_hold \
             else [build_model("a9")]
