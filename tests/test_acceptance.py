@@ -2,15 +2,18 @@
 
 Criterion 10 is long-running and only executes when RELALG_LONG=1 is set;
 it runs both size-8 uniqueness claims of the claim suite to the end and
-requires both to pass on their pinned trees.
+requires both to pass on their pinned trees.  It also checks the two
+size-8 searches the suite runs, each run once: exhaustive on exactly the
+pinned nodes, with the pinned class and labeling counts, every model
+failing exactly R9 within its system, and the classes' canonical forms
+those of ``a9`` (Tarski) and ``RSYS_MINUS_R9_SIZE8`` (R_SYS).
 """
 
-import math
 import time
 
 import pytest
 
-from relalg.algebra import automorphism_count, canonical_form, find_isomorphism
+from relalg.algebra import canonical_form, find_isomorphism
 from relalg.axioms import (R_SYS, S_SYS, TARSKI, axiom_sentence,
                            failing_axioms, satisfies, status_vector)
 from relalg.catalog import build_model, list_models
@@ -18,7 +21,7 @@ from relalg.report import GOLDEN, _golden_check, run_verification_suite
 from relalg.search import (SearchSpec, boolean_guided_search, naive_enumerate,
                            search)
 from relalg.terms import holds
-from test_search import SIZE8_TREES
+from test_search import RSYS_MINUS_R9_SIZE8
 
 
 def _axioms(ids):
@@ -207,17 +210,42 @@ def test_criterion_09_oracle_cross_checks():
 
 
 @pytest.mark.long
-def test_criterion_10_uniqueness_r9_size8():
+def test_criterion_10_uniqueness_r9_size8(engine, monkeypatch):
     # the claim path: both size-8 uniqueness claims must finish on their
     # pinned trees; the budget is explicit, since tests/conftest.py gives
-    # every search without one 20,000 nodes
-    nodes = {"paper.s11.r9-uniqueness-size8": SIZE8_TREES["tarski-r9"][2],
-             "paper.s14.r9-uniqueness-size8-rsys": SIZE8_TREES["rsys-r9"][2]}
-    report = run_verification_suite(include_long_running=True,
-                                    long_node_limit=max(nodes.values()))
-    got = {c.claim_id: (c.status, c.evidence.get("sizes", [{}])[0].get("nodes"))
-           for c in report.claims if c.claim_id in nodes}
-    ok = report.overall == "pass" and \
-        got == {cid: ("pass", n) for cid, n in nodes.items()}
-    _line(10, ok, "; ".join(f"{cid}: {status}, {n} nodes"
-                            for cid, (status, n) in got.items()))
+    # every search without one 20,000 nodes.  Each claim's search is
+    # recorded, so its result is checked here and run only once:
+    # claim id -> (system, nodes, classes, labelings, canonical forms)
+    trees = {"paper.s11.r9-uniqueness-size8":
+             (TARSKI, 685652, 1, 20160, [canonical_form(build_model("a9")).hex()]),
+             "paper.s14.r9-uniqueness-size8-rsys":
+             (R_SYS, 267032, 4, 80640, RSYS_MINUS_R9_SIZE8)}
+    run, searched = engine._run, []
+
+    def recording(spec, *rest):
+        res = run(spec, *rest)
+        if spec.size == 8:
+            searched.append((spec.must_hold, res))
+        return res
+    monkeypatch.setattr(engine, "_run", recording)
+    report = run_verification_suite(
+        include_long_running=True,
+        long_node_limit=max(nodes for _, nodes, *_ in trees.values()))
+    by_id = {c.claim_id: c for c in report.claims}
+    got, want = {}, {}
+    for cid, (system, nodes, classes, labelings, forms) in trees.items():
+        claim = by_id[cid]
+        held = _axioms(i for i in system if i != "R9")
+        runs = [res for must_hold, res in searched if must_hold == held]
+        got[cid] = [claim.status, claim.evidence["sizes"][0]["nodes"], len(runs)]
+        got[cid] += [(res.exhaustive, res.nodes_explored, res.iso_class_count,
+                      res.labeled_count,
+                      all(failing_axioms(status_vector(m, system)) == ["R9"]
+                          for m in res.models),
+                      [canonical_form(m).hex() for m in res.models])
+                     for res in runs]
+        want[cid] = ["pass", nodes, 1,
+                     (True, nodes, classes, labelings, True, forms)]
+    ok = report.overall == "pass" and len(searched) == len(trees) and got == want
+    _line(10, ok, "; ".join(f"{cid}: {status}, {nodes} nodes, searched {n}x"
+                            for cid, (status, nodes, n, *_) in got.items()))

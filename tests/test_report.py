@@ -235,6 +235,16 @@ class TestAtSizeClaims:
         assert by_id[lemma].evidence["population"] == \
             cut.evidence["population"] + 3
 
+    def test_r7_size4_finds_two_classes(self, budget_cut_report):
+        # the exhaustive size-4 tree of Tarski - R7 + {not R7} has exactly
+        # two classes, one of them isomorphic to a7
+        claim = {c.claim_id: c for c in budget_cut_report.claims}[
+            "paper.s9.r7-size4-search"]
+        assert claim.status == "pass"
+        row, = claim.evidence["sizes"]
+        assert (row["models"], row["labeled"], row["nodes"]) == (2, 48, 570)
+        assert row["exhaustive"] and claim.evidence["certified"] is True
+
     def test_four_reduced_system_classes_pass(self, monkeypatch):
         # the four classes of the finished R_SYS - R9 search, b9's last
         models = [_from_form(form) for form in RSYS_MINUS_R9_SIZE8]
@@ -320,6 +330,22 @@ class TestLemma:
             (True, {"population": 2, "applicable": 2})
         assert _lemma(verdict, population, ("R8",), ("R7",)) == \
             (True, {"population": 3, "applicable": 1})
+
+    def test_descriptions_say_what_is_checked(self, budget_cut_report):
+        # a lemma's evidence is a sample (the catalog and the finished
+        # searches' models), and its description says so; it names every
+        # hypothesis and conclusion of its row, so text and check agree
+        rows = {cid: row for cid, *row in LEMMAS}
+        lemmas = [c for c in budget_cut_report.claims if c.kind == "lemma-semantic"]
+        assert sorted(c.claim_id for c in lemmas) == sorted(rows)
+        for c in lemmas:
+            description, hypotheses, conclusions, agree = rows[c.claim_id]
+            words = c.description.replace(",", "").split()
+            assert c.description == description
+            assert "sample" in words
+            assert set(hypotheses + conclusions) <= set(words)
+            assert ("agree" in words) == agree
+            assert set(c.evidence) == {"population", "applicable"}
 
     # the first LEMMAS row (R10 against R11p) on one model each, and a
     # model where a hypothesis fails
