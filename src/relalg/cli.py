@@ -176,6 +176,7 @@ def cmd_search(args) -> int:
         ("instances", "instances", res.instances),
         ("backjumps", "backjumps", res.backjumps),
         ("values_skipped", "values skipped", res.values_skipped),
+        ("nogood_prunes", "nogood prunes", res.nogood_prunes),
     ]
     if args.json:
         doc = {"size": args.size, **{key: value for key, _, value in fields},

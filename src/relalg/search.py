@@ -59,6 +59,28 @@ position above it.  When a child's set lacks the node's position, the
 failure below holds whatever the node's value: the node returns that set
 at once and leaves its other values untried.
 
+A node that tried every value stores the set it returns, unless that set is
+empty or holds every position above the node, as a nogood with the decided
+values at its positions (dead-end driven learning; Frost and Dechter, AAAI
+1994), so that the run never searches that failure again.  A cut, a
+refutation and a leaf stand for every position above them, and so does the
+set of every node above them, so no cut, refutation or leaf lies below a
+stored set's node: each of its values failed on violated must-hold
+instances, there or further down, and by induction on the sets each such
+failure depends only on the values at the set's positions.  So no table that
+agrees with the set there satisfies the must-hold sentences: the nogood
+rules out tables, not labelings, and holds whatever the symmetry state and
+the must-fail scan.  Before a node tries a value, it tests the nogoods whose
+highest position is its own and whose value there is that value; on a match
+the value counts as a failed step whose set is the nogood's, which holds
+the node's position, and nothing is propagated.  A set a node only passes up
+in a jump was stored where it was computed.  A run without propagation fails
+no step, so its sets hold every position and it stores nothing.  The nogoods
+at each (position, value) form a trie keyed by their cells in decreasing
+position, so a test reads only the cells where some nogood still agrees; a
+set of more than ``NOGOOD_POSITIONS`` positions is not stored, which bounds
+the store (Bayardo and Miranker, AAAI 1996).
+
 Up to isomorphism both searches break symmetry by lex-leader constraints
 alone (Crawford, Ginsberg, Luks and Roy, KR 1996): each passes relabelings
 that keep its preset part and map every table that follows its derivation
@@ -137,6 +159,7 @@ class SearchResult:
     instances: int = 0
     backjumps: int = 0  # nodes that returned before trying every value
     values_skipped: int = 0  # the values those nodes left untried
+    nogood_prunes: int = 0  # values ruled out by a stored nogood, never tried
 
 
 # --- cell layout ------------------------------------------------------------
@@ -375,6 +398,12 @@ class _Plan:
         return [mask(c) for c in range(self.total)]
 
 
+# the most positions a stored nogood may have.  On the Tarski - R9 size-8
+# tree, 8 gives 298,847 nodes and 10 gives 235,838 in less time; above 10
+# the run is no faster, and unbounded it stores 356 MB against 87 MB
+NOGOOD_POSITIONS = 10
+
+
 # each problem's plan, keyed by (size, must_hold, must_fail, propagate,
 # rules), shared by its labeled and iso runs and by repeats in one process;
 # a size-8 plan holds about 120 KB, the suite builds 15 (17 with --long)
@@ -400,6 +429,9 @@ class _Engine:
         self.rechecks = 0
         self.refuted = 0  # scans that found a must-fail sentence holding
         self.conflicts = [0] * sentences  # failed steps per must-hold sentence
+        # nogoods[p][v]: the trie of the nogoods whose highest position is p,
+        # with value v there (``learn``), or a set that is p alone
+        self.nogoods: list[dict] = [{} for _ in plan.variables]
 
     def refute(self, resume):
         """Scan each must-fail sentence's instances from its index in
@@ -501,6 +533,48 @@ class _Engine:
         check read.  Called before the step is undone."""
         return self.blames[culprit](self.cells, self.masks, self.values[culprit])
 
+    def learn(self, found):
+        """Store ``found``, a conflict set that rules out tables, with the
+        decided values at its positions, in the trie at its highest position
+        and the value there: each level keys one cell of the set, in
+        decreasing position, then its value, and the leaf is the set.  A
+        path through a leaf already stored has a subset of its positions and
+        rules out more, so the set is dropped; a new leaf replaces the
+        longer paths below it."""
+        if found.bit_count() > NOGOOD_POSITIONS:
+            return
+        cells, variables = self.cells, self.plan.variables
+        top = found.bit_length() - 1
+        level, key = self.nogoods[top], cells[variables[top]]
+        rest = found ^ (1 << top)
+        while rest:
+            trie = level.get(key)
+            if type(trie) is int:
+                return
+            if trie is None:
+                trie = level[key] = {}
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            level = trie.setdefault(variables[p], {})
+            key = cells[variables[p]]
+        if type(level.get(key)) is not int:
+            level[key] = found
+
+    def ruled_out(self, trie):
+        """The set of a nogood stored in ``trie`` whose values the decided
+        cells match, or 0."""
+        if type(trie) is int:
+            return trie
+        cells, tries = self.cells, [trie]
+        for trie in tries:  # a list iterator also reaches the tries appended
+            for c, branches in trie.items():
+                below = branches.get(cells[c])
+                if below is not None:
+                    if type(below) is int:
+                        return below
+                    tries.append(below)
+        return 0
+
     def undo(self, trail):
         cells = self.cells
         for c in trail:
@@ -555,7 +629,12 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
     lex-least labeling or a symmetry that cut.  A failed step's set always
     holds the node's position, since its culprit read a cell the step
     set, so it is not tested for a jump.  ``backjumps`` counts the nodes
-    that returned early and ``values_skipped`` the values they left."""
+    that returned early and ``values_skipped`` the values they left.  A
+    node that tried every value and returns a nonempty set without every
+    position above it stores that set (``eng.learn``), and a value that
+    matches a stored nogood is not tried, counted in ``nogood_prunes``; a
+    nogood's set holds no cut, refutation or leaf, so this too never skips
+    a model, a lex-least labeling or a symmetry that cut."""
     n = spec.size
     if plan.violated:
         return SearchResult([], 0, 0, True, 0, 0, (0,) * len(spec.must_hold),
@@ -599,13 +678,14 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
         return still
 
     limit = spec.node_limit
-    blame = eng.blame
-    backjumps = skipped = 0
+    blame, learn, ruled_out = eng.blame, eng.learn, eng.ruled_out
+    nogoods = eng.nogoods
+    backjumps = skipped = prunes = 0
 
     def dfs(depth, tied, resume):
         """Search below a node at ``depth``; returns its conflict set, a mask
         of the positions above it (bit p for ``variables[p]``)."""
-        nonlocal nodes, cuts, exhausted, backjumps, skipped
+        nonlocal nodes, cuts, exhausted, backjumps, skipped, prunes
         nodes += 1
         above = (1 << depth) - 1
         if limit is not None and nodes > limit:
@@ -620,7 +700,14 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
         cell, own = variables[depth], 1 << depth
         full = above | own
         conflict = own  # the union of the failed children's sets
+        stored = nogoods[depth]
         for value in range(n):
+            if stored and value in stored:
+                found = ruled_out(stored[value])
+                if found:
+                    prunes += 1
+                    conflict |= found
+                    continue
             trail: list[int] = []
             culprit = eng.set_cell(cell, value, trail)
             if culprit is None:
@@ -642,16 +729,22 @@ def _run(spec: SearchSpec, plan: _Plan) -> SearchResult:
             eng.undo(trail)
             if not exhausted:
                 return full
+        if conflict != full and conflict != own:
+            learn(conflict ^ own)
         return conflict ^ own
 
     dfs(0, plan.tied if spec.up_to_iso else (), [0] * len(spec.must_fail))
+    # dfs refers to itself, so the run's state waits for a full collection;
+    # the nogoods, often most of it, are freed now
+    nogoods.clear()
 
     if spec.up_to_iso:
         models = [alg for _, alg in sorted(seen_forms.items())]
     labeled = sum(math.factorial(n) // automorphism_count(m) for m in seen_forms.values())
     return SearchResult(models, labeled, len(seen_forms), exhausted, nodes,
                         eng.rechecks, tuple(eng.conflicts), cuts,
-                        eng.refuted, len(plan.checks), backjumps, skipped)
+                        eng.refuted, len(plan.checks), backjumps, skipped,
+                        prunes)
 
 
 def search(spec: SearchSpec) -> SearchResult:

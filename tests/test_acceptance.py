@@ -217,9 +217,9 @@ def test_criterion_10_uniqueness_r9_size8(engine, monkeypatch):
     # recorded, so its result is checked here and run only once:
     # claim id -> (system, nodes, classes, labelings, canonical forms)
     trees = {"paper.s11.r9-uniqueness-size8":
-             (TARSKI, 685652, 1, 20160, [canonical_form(build_model("a9")).hex()]),
+             (TARSKI, 235838, 1, 20160, [canonical_form(build_model("a9")).hex()]),
              "paper.s14.r9-uniqueness-size8-rsys":
-             (R_SYS, 267032, 4, 80640, RSYS_MINUS_R9_SIZE8)}
+             (R_SYS, 44159, 4, 80640, RSYS_MINUS_R9_SIZE8)}
     run, searched = engine._run, []
 
     def recording(spec, *rest):

@@ -172,13 +172,13 @@ class TestCommands:
             assert line.split(":", 1)[1].strip() == str(value), key
 
     def test_search_iso_with_r1_r3_is_guided(self, capsys):
-        # the guided search's tree; the generic one explores 15,375 nodes
+        # the guided search's tree; the generic one explores 6,588 nodes
         code, out, _ = run(capsys, "search", "--size", "4", "--hold", "R1-R10",
                            "--iso", "--json")
         assert code == 0
         doc = json.loads(out)
         assert (doc["nodes_explored"], doc["iso_class_count"],
-                doc["labeled_count"]) == (256, 3, 60)
+                doc["labeled_count"]) == (200, 3, 60)
 
     def test_search_labeled_lists_every_labeling(self, capsys):
         # a labeled run stays generic, though it holds R1-R3: the guided
@@ -226,16 +226,26 @@ class TestCommands:
             assert f"instances:      {instances}\n" in out
 
     def test_search_backjumps(self, capsys):
-        # the guided Tarski tree at size 4: 68 nodes return before trying
-        # every value, leaving 150 values untried
+        # the guided Tarski tree at size 4: 52 nodes return before trying
+        # every value, leaving 119 values untried
         argv = ("search", "--size", "4", "--hold", "R1-R10", "--iso")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         doc = json.loads(out)
-        assert (doc["backjumps"], doc["values_skipped"]) == (68, 150)
+        assert (doc["backjumps"], doc["values_skipped"]) == (52, 119)
         code, out, _ = run(capsys, *argv)
-        assert "backjumps:      68\n" in out
-        assert "values skipped: 150\n" in out
+        assert "backjumps:      52\n" in out
+        assert "values skipped: 119\n" in out
+
+    def test_search_nogood_prunes(self, capsys):
+        # the same tree: 51 values match a nogood stored earlier in the run
+        # and are never tried
+        argv = ("search", "--size", "4", "--hold", "R1-R10", "--iso")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["nogood_prunes"] == 51
+        code, out, _ = run(capsys, *argv)
+        assert "nogood prunes:  51\n" in out
 
     def test_search_budget_reached_exit_code(self, capsys):
         code, out, _ = run(capsys, "search", "--size", "2", "--limit", "1")

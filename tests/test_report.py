@@ -242,7 +242,7 @@ class TestAtSizeClaims:
             "paper.s9.r7-size4-search"]
         assert claim.status == "pass"
         row, = claim.evidence["sizes"]
-        assert (row["models"], row["labeled"], row["nodes"]) == (2, 48, 570)
+        assert (row["models"], row["labeled"], row["nodes"]) == (2, 48, 399)
         assert row["exhaustive"] and claim.evidence["certified"] is True
 
     def test_four_reduced_system_classes_pass(self, monkeypatch):
@@ -277,7 +277,7 @@ class TestSuiteSmoke:
         # search's nodes are counted once
         report = run_verification_suite()
         assert sum(row["nodes"] for c in report.claims
-                   for row in c.evidence.get("sizes", ())) == 2248
+                   for row in c.evidence.get("sizes", ())) == 1792
         assert not [c for c in report.claims if "nodes_explored" in c.evidence]
 
 

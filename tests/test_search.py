@@ -101,6 +101,15 @@ class TestOracleCrossChecks:
         assert _forms(on.models) == _forms(off.models)
         assert on.labeled_count == off.labeled_count
         assert on.iso_class_count == off.iso_class_count
+        # the reference's conflict sets are always full, so it stores none
+        assert off.nogood_prunes == 0
+
+    def test_cross_checks_prune_by_nogoods(self):
+        # the propagating runs the cross-checks compare try fewer values
+        # than they would without nogoods
+        assert [search(s).nogood_prunes for s in ORACLE_SPECS] == [0, 9, 7, 7]
+        assert [boolean_guided_search(s).nogood_prunes
+                for s in GUIDED_ORACLE_SPECS] == [3, 0, 9, 0, 0]
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_iso_class_labeled_sum(self, spec):
@@ -142,7 +151,7 @@ class TestGuidedOracleCrossChecks:
         assert _forms(on.models) == _forms(off.models)
         assert on.labeled_count == off.labeled_count
         assert on.iso_class_count == off.iso_class_count
-        assert off.rechecks == 0
+        assert off.rechecks == off.nogood_prunes == 0
 
 
 @pytest.mark.parametrize("runner, spec, broken", [
@@ -179,30 +188,31 @@ def _search8_spec():
 
 
 # (runner, spec, nodes_explored, rechecks, failed propagation steps,
-# symmetry cuts, refuted branches, backjumps, values skipped), as this
-# engine counts them: a step rechecks each instance at most once and stops
-# at its first violated instance, that instance is rechecked first the next
-# time its cell is set, and a successful step is followed by the lex-leader
-# cut, which also cuts at the identity cell every identity that passes the
-# step and is not the least of its orbit; each node, leaves included, then
-# scans the must-fail instances and cuts the branch if a must-fail sentence
-# holds on all of them; a node whose child failed on a conflict set without
-# the node's position returns at once
+# symmetry cuts, refuted branches, backjumps, values skipped, nogood
+# prunes), as this engine counts them: a step rechecks each instance at
+# most once and stops at its first violated instance, that instance is
+# rechecked first the next time its cell is set, and a successful step is
+# followed by the lex-leader cut, which also cuts at the identity cell
+# every identity that passes the step and is not the least of its orbit;
+# each node, leaves included, then scans the must-fail instances and cuts
+# the branch if a must-fail sentence holds on all of them; a node whose
+# child failed on a conflict set without the node's position returns at
+# once; a value that matches a stored nogood is not tried
 PINNED_COUNTS = {
     # every branch is refuted before a leaf
     "rsys-r9-symmetric-size8": (boolean_guided_search, _search8_spec(),
-                                37, 671, 224, 4, 4, 0, 0),
+                                37, 671, 224, 4, 4, 0, 0, 0),
     "tarski-r2-size3": (search, SearchSpec(
         3, _axioms(i for i in TARSKI if i != "R2"), _axioms(("R2",)),
-        up_to_iso=True), 509, 7595, 860, 14, 0, 140, 142),
+        up_to_iso=True), 466, 6562, 629, 13, 0, 146, 154, 134),
     "tarski-r7-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(i for i in TARSKI if i != "R7"), _axioms(("R7",)),
-        up_to_iso=True), 570, 15325, 1393, 44, 3, 126, 254),
+        up_to_iso=True), 399, 10137, 791, 40, 3, 66, 157, 190),
     # a biconditional and quasi-equations with one and two antecedents
     "mixed-r4-size4": (boolean_guided_search, SearchSpec(
         4, _axioms(("R1", "R2", "R3", "R5", "R6", "R11p", "monL", "monR", "R8"))
         + (parse_sentence("r;s = 0, s;t = 0 -> r;t <= -1'"),),
-        _axioms(("R4",)), up_to_iso=True), 498, 18197, 949, 43, 0, 248, 503),
+        _axioms(("R4",)), up_to_iso=True), 294, 9530, 453, 25, 0, 142, 283, 122),
 }
 
 
@@ -211,7 +221,7 @@ def _run_pinned(name):
     one that lost its pruning stops there and fails at once instead of
     running on.  Returns the result and the pinned (nodes, rechecks,
     failed steps, symmetry cuts, refuted branches, backjumps, values
-    skipped)."""
+    skipped, nogood prunes)."""
     runner, spec, *counts = PINNED_COUNTS[name]
     return runner(replace(spec, node_limit=counts[0])), *counts
 
@@ -219,7 +229,8 @@ def _run_pinned(name):
 def _counts(res):
     """The result's counts in the order ``PINNED_COUNTS`` pins them."""
     return [res.nodes_explored, res.rechecks, sum(res.conflicts),
-            res.symmetry_cuts, res.refuted, res.backjumps, res.values_skipped]
+            res.symmetry_cuts, res.refuted, res.backjumps, res.values_skipped,
+            res.nogood_prunes]
 
 
 # sentences beyond the catalog: the constants 0 and 1, meet, and
@@ -275,12 +286,13 @@ class TestCompiledChecker:
 
     def test_pinned_size8_tree(self):
         # R_SYS with R7 must-fail at size 8 has no model, on a tree that
-        # propagates, fails steps, cuts, refutes and jumps at every depth; a
-        # budget of exactly its pinned nodes, about 0.3 s
+        # propagates, fails steps, cuts, refutes, jumps and prunes by
+        # nogoods at every depth; a budget of exactly its pinned nodes,
+        # about 0.2 s
         res = boolean_guided_search(SearchSpec(
-            8, _axioms(R_SYS), _axioms(("R7",)), up_to_iso=True, node_limit=2964))
+            8, _axioms(R_SYS), _axioms(("R7",)), up_to_iso=True, node_limit=1651))
         assert res.exhaustive and res.iso_class_count == 0
-        assert _counts(res) == [2964, 218528, 16026, 166, 13, 868, 4453]
+        assert _counts(res) == [1651, 122012, 8096, 105, 13, 436, 2298, 955]
         assert res.instances == 1168
 
     def test_instances_drop_what_holds_on_the_preset(self):
@@ -416,7 +428,8 @@ class TestCompiledChecker:
         # what lets a step stop at its first violated instance: after a
         # successful step and after an undo, every instance is subscribed at
         # its current version to each cell its check reads, including the
-        # watchers a failed step did not reach
+        # watchers a failed step did not reach; two pinned trees, since
+        # nogoods leave tarski-r7-size4 fewer steps than the floor
         set_cell, undo = engine._Engine.set_cell, engine._Engine.undo
         checked = []
 
@@ -439,8 +452,9 @@ class TestCompiledChecker:
             assert_subscribed(eng)
         monkeypatch.setattr(engine._Engine, "set_cell", spy_set_cell)
         monkeypatch.setattr(engine._Engine, "undo", spy_undo)
-        res, *_ = _run_pinned("tarski-r7-size4")
-        assert res.exhaustive
+        for name in ("tarski-r7-size4", "tarski-r2-size3"):
+            res, *_ = _run_pinned(name)
+            assert res.exhaustive
         assert len(checked) > 2500
 
     @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
@@ -466,6 +480,29 @@ class TestCompiledChecker:
         plan, conflicts = _conflict_sets(name, engine, monkeypatch, drop_highest)
         assert conflicts
         assert _insufficient(plan, conflicts)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_stored_nogoods_hold_no_model(self, name, engine, monkeypatch):
+        # a stored set lies below no cut, refutation or leaf, so it rules
+        # out tables, not labelings: no table that agrees with it satisfies
+        # the must-hold sentences.  search8 refutes every branch and stores
+        # nothing
+        nogoods = _offered_nogoods(name, engine, monkeypatch)
+        assert bool(nogoods) is (name != "rsys-r9-symmetric-size8")
+        for nogood in nogoods:
+            res = _replay(name, nogood, engine, monkeypatch)
+            assert res.exhaustive and res.labeled_count == 0, nogood
+
+    @pytest.mark.parametrize("name", ["tarski-r2-size3", "tarski-r7-size4"])
+    def test_a_nogood_without_a_position_is_caught(self, name, engine,
+                                                   monkeypatch):
+        # the replay above finds a model below some set that lost its
+        # lowest position
+        def drop_lowest(found):
+            return found & (found - 1) or found
+        nogoods = _offered_nogoods(name, engine, monkeypatch, drop_lowest)
+        assert any(_replay(name, nogood, engine, monkeypatch).labeled_count
+                   for nogood in nogoods)
 
     def test_blocking_rules(self):
         a = build_model("m3")
@@ -541,6 +578,48 @@ def _insufficient(plan, conflicts):
         if check(rebuilt, _Recorder(), None, 0, values) is not False:
             bad.append((values, found))
     return bad
+
+
+def _offered_nogoods(name, engine, monkeypatch, change=None):
+    """Run a pinned search and record every conflict set it offers to store
+    as a nogood, each as {decision cell: value} over the set's positions,
+    where ``change``, if given, alters each set before the search stores
+    it."""
+    learn, nogoods = engine._Engine.learn, []
+
+    def recording(eng, found):
+        if change is not None:
+            found = change(found)
+        nogoods.append({c: eng.cells[c] for p, c in enumerate(eng.plan.variables)
+                        if found >> p & 1})
+        learn(eng, found)
+    with monkeypatch.context() as m:
+        m.setattr(engine._Engine, "learn", recording)
+        _run_pinned(name)
+    return nogoods
+
+
+def _replay(name, nogood, engine, monkeypatch):
+    """The pinned search's must-hold sentences alone, searched labeled with
+    the nogood's cells preset, and each derived cell whose deps that fixes
+    preset too; the must-fail sentences and the relabelings are dropped, so
+    a model anywhere below the nogood is found."""
+    runner, spec, *_ = PINNED_COUNTS[name]
+    which = "_guided_rules" if runner is boolean_guided_search else "_generic_rules"
+    rules = getattr(engine, which)
+
+    def fixing(n, must_hold):
+        preset, derived, _ = rules(n, must_hold)
+        cells, kept = dict(preset) | nogood, []
+        for target, deps in derived:
+            if all(d in cells for d in deps):
+                cells[target] = reduce(or_, (cells[d] for d in deps))
+            else:
+                kept.append((target, deps))
+        return list(cells.items()), kept, ()
+    with monkeypatch.context() as m:
+        m.setattr(engine, which, fixing)
+        return runner(replace(spec, must_fail=(), up_to_iso=False))
 
 
 def _counting_compile(engine, monkeypatch):
@@ -723,8 +802,8 @@ class TestCheckerCache:
         assert vars(engine._Plan(*sent)) == vars(_plan(*key))
 
     @pytest.mark.parametrize("name, iso_nodes", [
-        pytest.param("tarski-size4", 256, id="tarski-size4"),
-        pytest.param("tarski-minus-r2-size2", 40, id="tarski-minus-r2-size2")])
+        pytest.param("tarski-size4", 200, id="tarski-size4"),
+        pytest.param("tarski-minus-r2-size2", 39, id="tarski-minus-r2-size2")])
     def test_labeled_and_iso_runs_share_one_plan(self, name, iso_nodes):
         # the plan keeps its relabelings' image sources, which only the iso
         # run reads, so both runs of one problem build one plan
@@ -792,27 +871,27 @@ SYMMETRY_ORACLE_SPECS = {
     # no must-fail, so both runs reach leaves; S3 acts at masks 0 and 7
     "rsys-symmetric-size8": (boolean_guided_search,
                              replace(_search8_spec(), must_fail=()),
-                             3972, 10, 329280),
+                             2803, 10, 329280),
     "tarski-size4": (boolean_guided_search, SearchSpec(4, _axioms(TARSKI)),
-                     436, 3, 60),
+                     292, 3, 60),
     "rsys-size4": (boolean_guided_search, SearchSpec(4, _axioms(R_SYS)),
-                   271, 3, 60),
+                   203, 3, 60),
     # R8 and R8p both held: comp is derived from {0, atoms}^2
     "ssys-size4": (boolean_guided_search, SearchSpec(4, _axioms(S_SYS)),
-                   1004, 3, 60),
+                   616, 3, 60),
     "ssys-r7-size4": (boolean_guided_search,
                       SearchSpec(4, _axioms(S_SYS), _axioms(("R7",))),
-                      1004, 0, 0),
+                      616, 0, 0),
     # the generic search with R1 held, which derives add[j][i] from add[i][j]
     "tarski-minus-r2-size2": (search,
                               SearchSpec(2, _axioms(i for i in TARSKI if i != "R2")),
-                              80, 1, 2),
+                              60, 1, 2),
     **{name: (*PINNED_COUNTS[name][:2], nodes, classes, labelings)
        for name, nodes, classes, labelings in (
            ("rsys-r9-symmetric-size8", 73, 0, 0),
-           ("tarski-r2-size3", 2846, 1, 6),
-           ("tarski-r7-size4", 1027, 2, 48),
-           ("mixed-r4-size4", 1162, 0, 0))},
+           ("tarski-r2-size3", 1458, 1, 6),
+           ("tarski-r7-size4", 517, 2, 48),
+           ("mixed-r4-size4", 495, 0, 0))},
 }
 
 
@@ -1104,12 +1183,12 @@ class TestMustFailSemantics:
         held = SearchSpec(4, _axioms(TARSKI), up_to_iso=True)
         base = boolean_guided_search(held)
         assert (base.iso_class_count, base.labeled_count,
-                base.nodes_explored) == (3, 60, 256)
+                base.nodes_explored) == (3, 60, 200)
         res = boolean_guided_search(
             replace(held, must_fail=(parse_sentence("r+s = r"),)))
         assert res.exhaustive and _forms(res.models) == _forms(base.models)
         assert (res.iso_class_count, res.labeled_count, res.nodes_explored,
-                res.refuted) == (3, 60, 256, 0)
+                res.refuted) == (3, 60, 200, 0)
         res = boolean_guided_search(
             replace(held, must_fail=(parse_sentence("r+s = s+r"),)))
         assert res.exhaustive
@@ -1173,11 +1252,11 @@ class TestMinimality:
         assert all(s["models"] == 0 and s["exhaustive"] for s in sizes)
 
     def test_r9_below_eight_skips_non_powers(self, engine, monkeypatch):
-        # each search gets the budget the size-4 one needs, 332 nodes, so
+        # each search gets the budget the size-4 one needs, 251 nodes, so
         # one that lost its pruning stops there and fails at once
         run = engine._run
         monkeypatch.setattr(engine, "_run", lambda spec, plan:
-                            run(replace(spec, node_limit=332), plan))
+                            run(replace(spec, node_limit=251), plan))
         claim = _suite_claims()["paper.s11.r9-minimality"]
         sizes = claim.evidence["sizes"]
         assert [s["size"] for s in sizes if s["skipped"] is None] == [1, 2, 4]
@@ -1197,8 +1276,8 @@ class TestMinimality:
 @pytest.mark.long
 def test_full_tarski_size8():
     # every Tarski algebra of size 8, on a budget of exactly its pinned
-    # nodes; about 1 s
-    nodes = 10268
+    # nodes; about 0.5 s
+    nodes = 6948
     res = boolean_guided_search(SearchSpec(8, _axioms(TARSKI), up_to_iso=True,
                                            node_limit=nodes))
     assert res.exhaustive and res.nodes_explored == nodes
@@ -1207,8 +1286,8 @@ def test_full_tarski_size8():
 
 
 # The canonical forms of the four classes R_SYS - R9 + {not R9} has at size
-# 8, in the order the finished guided search lists them (267,032 nodes,
-# about 20 s on one core; test_acceptance.py, criterion 10); the last is
+# 8, in the order the finished guided search lists them (44,159 nodes,
+# about 3 s on one core; test_acceptance.py, criterion 10); the last is
 # b9's class.
 RSYS_MINUS_R9_SIZE8 = [
     ("0800010003020504070600010203040605070002020004070407020102010201"
@@ -1263,11 +1342,11 @@ def test_rsys_minus_r9_size8_classes():
 
 
 # a size-8 tree run to the end on a budget of exactly its pinned nodes,
-# about 2 s: (system, target axiom, nodes, classes, labelings).  The two R9
+# about 1 s: (system, target axiom, nodes, classes, labelings).  The two R9
 # uniqueness trees are checked on the claim suite's own searches
 # (test_acceptance.py, criterion 10)
 SIZE8_TREES = {
-    "tarski-r4": (TARSKI, "R4", 48213, 6, 141120),
+    "tarski-r4": (TARSKI, "R4", 16657, 6, 141120),
 }
 
 
