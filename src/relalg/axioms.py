@@ -69,11 +69,16 @@ def failing_axioms(status: dict) -> list[str]:
     return [axiom_id for axiom_id, witness in status.items() if witness is not None]
 
 
+def only_failing(status: dict, target: str) -> bool:
+    """True iff ``target``, which ``status`` must hold, is its one failure."""
+    if target not in status:
+        raise AxiomError(f"{target} is not in the given system")
+    return failing_axioms(status) == [target]
+
+
 def is_independence_model(a: FiniteAlgebra, system, target: str) -> bool:
     """True iff ``target`` fails in ``a`` and every other member holds."""
-    if target not in system:
-        raise AxiomError(f"{target} is not in the given system")
-    return failing_axioms(status_vector(a, system)) == [target]
+    return only_failing(status_vector(a, system), target)
 
 
 def satisfies(a: FiniteAlgebra, axiom_ids) -> bool:

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
@@ -20,7 +21,7 @@ from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
 from .report import (INCONCLUSIVE, PASS, _independence_evidence, _named_env,
                      render_model, run_verification_suite)
-from .search import SearchSpec, _search_for
+from .search import SearchResult, SearchSpec, _search_for
 from .terms import (EvalError, ParseError, check_validity, eval_term, free_vars,
                     parse_term)
 
@@ -144,11 +145,9 @@ def cmd_eval(args) -> int:
 
 def cmd_independence(args) -> int:
     a = _load_model(args.model)
-    system = SYSTEMS[args.system]
-    if args.target not in system:
-        raise ValueError(f"{args.target} is not in system {args.system!r}")
     ok, ev = _independence_evidence(
-        lambda m, i: check_validity(m, axiom_sentence(i)), a, system, args.target)
+        lambda m, i: check_validity(m, axiom_sentence(i)), a, SYSTEMS[args.system],
+        args.target)
     print(f"{_tag(ok)} independence of {args.target} within {args.system}: "
           f"failing = {ev['failing'] or 'none'}")
     if "witness" in ev:
@@ -163,30 +162,19 @@ def cmd_search(args) -> int:
     spec = SearchSpec(args.size, must_hold, must_fail, up_to_iso=args.iso,
                       node_limit=args.limit)
     res = _search_for(spec)(spec)
-    conflicts = dict(zip(hold, res.conflicts))
-    fields = [  # (JSON key, text label, value)
-        ("labeled_count", "labeled models", res.labeled_count),
-        ("iso_class_count", "iso classes", res.iso_class_count),
-        ("exhaustive", "exhaustive", res.exhaustive),
-        ("nodes_explored", "nodes explored", res.nodes_explored),
-        ("rechecks", "rechecks", res.rechecks),
-        ("conflicts", "conflicts", conflicts),
-        ("symmetry_cuts", "symmetry cuts", res.symmetry_cuts),
-        ("refuted", "refuted", res.refuted),
-        ("instances", "instances", res.instances),
-        ("backjumps", "backjumps", res.backjumps),
-        ("values_skipped", "values skipped", res.values_skipped),
-        ("nogood_prunes", "nogood prunes", res.nogood_prunes),
-    ]
+    # every counter of the result, in field order; conflicts by axiom id
+    counters = {f.name: getattr(res, f.name) for f in fields(SearchResult)
+                if f.name != "models"}
+    counters["conflicts"] = dict(zip(hold, res.conflicts))
     if args.json:
-        doc = {"size": args.size, **{key: value for key, _, value in fields},
+        doc = {"size": args.size, **counters,
                "models": [json.loads(to_json(m)) for m in res.models]}
         print(json.dumps(doc, indent=1))
     else:
-        for key, label, value in fields:
+        for key, value in counters.items():
             if key == "conflicts":
-                value = ", ".join(f"{i} {c}" for i, c in conflicts.items()) or "none"
-            print(f"{label + ':':16}{value}")
+                value = ", ".join(f"{i} {c}" for i, c in value.items()) or "none"
+            print(f"{key.replace('_', ' ') + ':':15} {value}")
         for i, m in enumerate(res.models):
             print(f"--- model {i} ---")
             print(render_model(m))

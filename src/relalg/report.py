@@ -15,7 +15,7 @@ from functools import partial
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism
 from .axioms import (BOOLEAN, R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
-                     exists_right_identity, failing_axioms)
+                     exists_right_identity, failing_axioms, only_failing)
 from .catalog import build_model, list_models
 from .search import SearchSpec, _search_for, boolean_guided_search
 from .terms import check_validity, holds
@@ -109,7 +109,7 @@ def _independence_evidence(verdict, a: FiniteAlgebra, system, target):
     ev = {"failing": failing_axioms(status)}
     if witness is not None:
         ev["witness"] = _named_env(a, witness)
-    return ev["failing"] == [target], ev
+    return only_failing(status, target), ev
 
 
 def _fails_at(a: FiniteAlgebra, axiom_id: str, names_env: dict):
@@ -199,6 +199,34 @@ def _lemma(verdict, population, hypotheses, conclusions, agree=False):
         if agree and 0 < len(failed) < len(conclusions):
             return False, {"model": mid, "disagree": list(conclusions)}
     return True, {"population": len(population), "applicable": applicable}
+
+
+def _search_text(sysname, target, size, cert, count):
+    """What ``search_claim`` checks for one ``SEARCHES`` row, read from the row."""
+    if not count:
+        return (f"no independence model for {target} within {sysname} below "
+                f"size {size}, and {cert} is one of size {size}")
+    plural, one = ("", "") if count == 1 else ("s", "one ")
+    return (f"exactly {count} size-{size} independence model{plural} for "
+            f"{target} within {sysname}, {one}isomorphic to {cert}")
+
+
+# Search claims, each checked by the suite's ``search_claim``: (claim id,
+# system name, target, size, certificate, required classes, long-running).
+# 0 classes is minimality, none at sizes 1 ... size - 1; k >= 1 is
+# uniqueness, exactly k at the size alone.  The size is the paper's, never
+# read from the certificate, which must have it.
+SEARCHES = [
+    ("paper.s6.r2-minimality", "tarski", "R2", 3, "a2", 0, False),
+    ("paper.s7.r4-minimality", "tarski", "R4", 8, "a4", 0, False),
+    ("paper.s9.r7-minimality", "tarski", "R7", 4, "a7", 0, False),
+    ("paper.s11.r9-minimality", "tarski", "R9", 8, "a9", 0, False),
+    ("paper.s14.r9-minimality-rsys", "r", "R9", 8, "b9", 0, False),
+    ("paper.s6.r2-uniqueness-size3", "tarski", "R2", 3, "a2", 1, False),
+    ("paper.s9.r7-size4-search", "tarski", "R7", 4, "a7", 2, False),
+    ("paper.s11.r9-uniqueness-size8", "tarski", "R9", 8, "a9", 1, True),
+    ("paper.s14.r9-uniqueness-size8-rsys", "r", "R9", 8, "b9", 4, True),
+]
 
 
 # Part (a): (claim id, description, model id, name of its identity element,
@@ -316,16 +344,16 @@ def run_verification_suite(include_long_running: bool = False,
     # less the target and fails the target finds the required class count
     population: list[tuple[str, FiniteAlgebra]] = sorted(models.items())
 
-    def search_claim(system, target, size, sizes, cert, count, node_limit=None):
-        """(verdict, evidence) of the claim that the search finds ``count``
-        classes at each of ``sizes``, and that the certificate is an
-        independence model of ``size`` elements, isomorphic to a model found
-        there when ``size`` is one of ``sizes``; None when a node budget cuts
-        a search.  The models of every finished search join the lemma
-        population."""
-        rows, found = [], {}
+    def search_claim(system, target, size, cert, count, node_limit=None):
+        """(verdict, evidence) of the claim that the search finds no class
+        at each size below ``size`` (``count`` 0) or exactly ``count`` at
+        ``size``, and that the certificate is an independence model of
+        ``size`` elements, isomorphic to a model found there when ``count``
+        is not 0; None when a node budget cuts a search.  The models of
+        every finished search join the lemma population."""
+        rows = []
         must_hold = tuple(axiom_sentence(i) for i in system if i != target)
-        for n in sizes:
+        for n in [size] if count else range(1, size):
             spec = SearchSpec(n, must_hold, (axiom_sentence(target),),
                               up_to_iso=True, node_limit=node_limit)
             runner = _search_for(spec)
@@ -336,49 +364,25 @@ def run_verification_suite(include_long_running: bool = False,
                          "skipped": "not a power of two: no Boolean skeleton"
                                     if skipped else None,
                          "nodes": res.nodes_explored, "rechecks": res.rechecks})
-            found[n] = res.models
             if res.exhaustive:
                 population.extend((f"search.{cert}-size{n}.{i}", m)
                                   for i, m in enumerate(res.models))
         a = models[cert]
         certified = (a.size == size and
                      _independence_evidence(verdict, a, system, target)[0] and
-                     (size not in found or
-                      any(find_isomorphism(m, a) for m in found[size])))
+                     (not count or any(find_isomorphism(m, a) for m in res.models)))
         ev = {"sizes": rows, "certificate": cert, "certified": certified}
         if not all(row["exhaustive"] for row in rows):
             ev["resource_abort"] = True
             return None, ev
         return certified and all(row["models"] == count for row in rows), ev
 
-    for cid, target, system, size, cert in [
-        ("paper.s6.r2-minimality", "R2", TARSKI, 3, "a2"),
-        ("paper.s7.r4-minimality", "R4", TARSKI, 8, "a4"),
-        ("paper.s9.r7-minimality", "R7", TARSKI, 4, "a7"),
-        ("paper.s11.r9-minimality", "R9", TARSKI, 8, "a9"),
-        ("paper.s14.r9-minimality-rsys", "R9", R_SYS, 8, "b9"),
-    ]:
-        sysname = "tarski" if system is TARSKI else "the reduced system"
-        run(cid, f"no independence model for {target} below size {size} ({sysname})",
-            "minimality",
-            partial(search_claim, system, target, size, range(1, size), cert, 0))
-
-    run("paper.s6.r2-uniqueness-size3",
-        "exactly one size-3 independence model for R2, isomorphic to a2",
-        "uniqueness", partial(search_claim, TARSKI, "R2", 3, [3], "a2", 1))
-    run("paper.s9.r7-size4-search",
-        "exactly two size-4 independence models for R7, one isomorphic to a7",
-        "uniqueness", partial(search_claim, TARSKI, "R7", 4, [4], "a7", 2))
-    for cid, desc, system, cert, count in [
-        ("paper.s11.r9-uniqueness-size8",
-         "exactly one size-8 independence model for R9 (full system)", TARSKI, "a9", 1),
-        ("paper.s14.r9-uniqueness-size8-rsys",
-         "exactly four size-8 independence models for R9 (reduced system), "
-         "one isomorphic to b9", R_SYS, "b9", 4),
-    ]:
-        run(cid, desc, "uniqueness",
-            partial(search_claim, system, "R9", 8, [8], cert, count, long_node_limit)
-            if include_long_running else None)
+    for cid, sysname, target, size, cert, count, long in SEARCHES:
+        run(cid, _search_text(sysname, target, size, cert, count),
+            "uniqueness" if count else "minimality",
+            None if long and not include_long_running else
+            partial(search_claim, SYSTEMS[sysname], target, size, cert, count,
+                    long_node_limit if long else None))
 
     # (f) semantic lemma checks over the catalog plus all searched models
     for cid, desc, hypotheses, conclusions, agree in LEMMAS:

@@ -1,5 +1,6 @@
 import ast
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -7,6 +8,7 @@ from relalg.algebra import from_json, to_json
 from relalg.catalog import boolean_ra, m3
 from relalg.cli import _parse_axiom_list, main
 from relalg.report import _TARSKI_SUITE, run_verification_suite
+from relalg.search import SearchResult
 
 
 def run(capsys, *argv):
@@ -117,8 +119,10 @@ class TestCommands:
         assert code == 0
         assert out == ("pass independence of R9 within r: failing = ['R9']\n"
                        "  witness: r=1', s=a\n")
+        # a target outside the system is a usage error, raised by the check
+        # is_independence_model makes
         code, _, err = run(capsys, "independence", "a2", "--target", "R8p")
-        assert code == 2
+        assert code == 2 and err == "error: R8p is not in the given system\n"
 
     def test_independence_matches_claim_evidence(self, capsys):
         by_id = {c.claim_id: c for c in run_verification_suite().claims}
@@ -136,7 +140,7 @@ class TestCommands:
         code, out, _ = run(capsys, "search", "--size", "2",
                            "--hold", "R1,R3-R10", "--fail", "R2", "--iso")
         assert code == 0
-        assert "labeled models: 0" in out
+        assert "labeled count:  0\n" in out
 
     def test_search_conflicts_per_axiom(self, capsys):
         # a repeated id is held once, so each id names one count
@@ -170,6 +174,20 @@ class TestCommands:
             if key == "conflicts":
                 value = ", ".join(f"{i} {c}" for i, c in value.items())
             assert line.split(":", 1)[1].strip() == str(value), key
+
+    def test_search_prints_every_result_field(self, capsys):
+        # text and JSON list each SearchResult counter, in field order, and
+        # nothing else besides the size and the models
+        counters = [f.name for f in fields(SearchResult) if f.name != "models"]
+        argv = ("search", "--size", "2", "--hold", "R1,R3-R10", "--fail", "R2",
+                "--iso")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert list(json.loads(out)) == ["size", *counters, "models"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == \
+            [name.replace("_", " ") for name in counters]  # no model found
 
     def test_search_iso_with_r1_r3_is_guided(self, capsys):
         # the guided search's tree; the generic one explores 6,588 nodes

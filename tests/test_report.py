@@ -9,8 +9,8 @@ from relalg.algebra import automorphism_count, make_algebra
 from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
 from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, GOLDEN,
-                           LEMMAS, Claim, Report, _golden_check, _lemma,
-                           render_model, run_verification_suite)
+                           LEMMAS, SEARCHES, Claim, Report, _golden_check,
+                           _lemma, render_model, run_verification_suite)
 from relalg.search import SearchResult
 from relalg.terms import check_validity
 from test_search import RSYS_MINUS_R9_SIZE8, _from_form
@@ -346,6 +346,28 @@ class TestLemma:
             assert set(hypotheses + conclusions) <= set(words)
             assert ("agree" in words) == agree
             assert set(c.evidence) == {"population", "applicable"}
+        # a search claim names its target, system, size and class count,
+        # and its certificate; its kind and searched sizes follow from its
+        # row: none below the size, or exactly k classes at the size alone
+        searches = [c for c in budget_cut_report.claims if c.kind in
+                    ("minimality", "uniqueness")]
+        rows = {cid: row for cid, *row in SEARCHES}
+        assert sorted(c.claim_id for c in searches) == sorted(rows)
+        for c in searches:
+            sysname, target, size, cert, count, long = rows[c.claim_id]
+            words = c.description.replace(",", "").replace("-", " ").split()
+            assert {target, sysname, str(size), cert} <= set(words)
+            if count:
+                assert ("exactly", str(count)) in zip(words, words[1:])
+            else:
+                assert words[0] == "no"
+            # the certificate is compared by isomorphism when its size is searched
+            assert ("isomorphic" in words) == (count > 0)
+            assert c.kind == ("uniqueness" if count else "minimality")
+            assert [row["size"] for row in c.evidence["sizes"]] == \
+                ([size] if count else list(range(1, size)))
+            assert c.evidence["certificate"] == cert
+            assert (c.claim_id in LONG_CLAIMS) == long
 
     # the first LEMMAS row (R10 against R11p) on one model each, and a
     # model where a hypothesis fails
