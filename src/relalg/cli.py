@@ -20,7 +20,7 @@ from .algebra import AlgebraError, FiniteAlgebra, from_json, to_json
 from .axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from .catalog import build_model, list_models
 from .report import (INCONCLUSIVE, PASS, _independence_evidence, _named_env,
-                     render_model, run_verification_suite)
+                     _witness_str, render_model, run_verification_suite)
 from .search import SearchResult, SearchSpec, _search_for
 from .terms import (EvalError, ParseError, check_validity, eval_term, free_vars,
                     parse_term)
@@ -91,10 +91,6 @@ def _parse_env(a: FiniteAlgebra, text: str, variables) -> dict:
             raise EvalError(f"element index {index} out of range")
         env[var] = index
     return env
-
-
-def _witness_str(named: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in named.items())
 
 
 def cmd_list_models(args) -> int:

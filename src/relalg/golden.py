@@ -124,10 +124,11 @@ B9_COMP, B9_CONV = _patched(D_COMP, D_ORDER, B9_DIFF_ROWS, B9_DIFF_COLS,
                             B9_DIFF_COMP, B9_CONV_SWAP)
 
 
-def index_map(a: FiniteAlgebra) -> dict:
-    if a.names is None:
-        raise ValueError("golden comparison needs a named algebra")
-    return {name: i for i, name in enumerate(a.names)}
+def changed_cells(table: str, reference, base) -> int:
+    """How many cells differ between two references of ``table`` in one order."""
+    if table not in ("neg", "conv"):
+        reference, base = sum(reference, []), sum(base, [])
+    return sum(x != y for x, y in zip(reference, base))
 
 
 def compare(a: FiniteAlgebra, table: str, order, reference) -> list[tuple]:
@@ -136,7 +137,7 @@ def compare(a: FiniteAlgebra, table: str, order, reference) -> list[tuple]:
     conv, one row of names per element for a binary table.  Returns the
     mismatches as (row-name, got, expected), or (row-name, col-name, got,
     expected) for a binary table."""
-    idx = index_map(a)
+    idx = {name: i for i, name in enumerate(a.names)}
     op = getattr(a, table)
     if table in ("neg", "conv"):
         cells = [((rn,), op[idx[rn]], want) for rn, want in zip(order, reference)]

@@ -14,7 +14,7 @@ from functools import partial
 
 from . import __version__
 from .algebra import FiniteAlgebra, find_isomorphism
-from .axioms import (BOOLEAN, R_SYS, S_SYS, SYSTEMS, TARSKI, axiom_sentence,
+from .axioms import (AXIOM_TEXT, BOOLEAN, R_SYS, S_SYS, SYSTEMS, axiom_sentence,
                      exists_right_identity, failing_axioms, only_failing)
 from .catalog import build_model, list_models
 from .search import SearchSpec, _search_for, boolean_guided_search
@@ -103,6 +103,14 @@ def _named_env(a: FiniteAlgebra, env: dict) -> dict:
     return {k: a.name_of(v) for k, v in sorted(env.items())}
 
 
+def _witness_str(named: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in named.items())
+
+
+def _listed(items):
+    return ", ".join(items[:-1]) + " and " + items[-1] if len(items) > 1 else items[0]
+
+
 def _independence_evidence(verdict, a: FiniteAlgebra, system, target):
     status = {i: verdict(a, i) for i in system}
     witness = status.get(target)
@@ -112,77 +120,93 @@ def _independence_evidence(verdict, a: FiniteAlgebra, system, target):
     return only_failing(status, target), ev
 
 
-def _fails_at(a: FiniteAlgebra, axiom_id: str, names_env: dict):
-    """The axiom must be false at exactly this (named) assignment."""
-    idx = golden.index_map(a)
-    env = {var: idx[name] for var, name in names_env.items()}
-    return not holds(a, axiom_sentence(axiom_id), env)
+def _independence_text(mid, sysname, target):
+    """What ``_independence_evidence`` checks for one ``INDEPENDENCE`` row."""
+    return f"{mid} fails exactly {target} within {sysname}"
 
 
-# The stated counterexamples: (axiom, model id, variable -> element name).
+# Independence claims: (claim id, model id, system name, target, kind).
+# b10, the paper's second independence model for R10, is an extra fact.
+INDEPENDENCE = [(cid, mid, sysname, target, "independence")
+                for cid, mid, sysname, target in [
+    *[(f"paper.{sec}.a{n}-r{n}-independence", f"a{n}", "tarski", f"R{n}") for n, sec in
+      enumerate(("s5", "s6", "sr3", "s7", "s8", "sr6", "s9", "s10", "s11", "s12"), 1)],
+    *[(f"paper.{sec}.{sysname}sys-r{n}-a{n}", f"a{n}", sysname, f"R{n}")
+      for sec, sysname in (("s14", "r"), ("s16", "s")) for n in (1, 2, 3, 4, 5, 6, 10)],
+    ("paper.s14.rsys-r9-b9", "b9", "r", "R9"),
+    ("paper.s14.rsys-r8p-a8", "a8", "r", "R8p"),
+    ("paper.s14.rsys-r8p-a7", "a7", "r", "R8p"),
+    ("paper.s16.ssys-r8-b9", "b9", "s", "R8"),
+    ("paper.s16.ssys-r8p-a7", "a7", "s", "R8p"),
+]] + [("paper.s12.b10-r10-independence", "b10", "tarski", "R10", "extra-fact")]
+
+# b5's extra fact, checked by ``b5_fact``: (claim id, model id, system name,
+# target, what its description adds to the independence row's).
+B5_FACT = ("paper.s8.b5-right-identity", "b5", "tarski", "R5",
+           ", yet has a right identity element")
+
+
+def b5_fact(verdict, a: FiniteAlgebra, system, target):
+    """``a`` has a right identity element, which the evidence names, yet
+    fails exactly ``target`` within ``system``."""
+    e = exists_right_identity(a)
+    ok = e is not None and _independence_evidence(verdict, a, system, target)[0]
+    return ok, {"right_identity": None if e is None else a.name_of(e)}
+
+
+# The stated counterexamples, all checked in claim WITNESSES_CLAIM: (id of
+# the row's own claim or None, axiom, model id, variable -> element name).
+WITNESSES_CLAIM = "paper.witness.stated-counterexamples"
 STATED_WITNESSES = [
-    ("R2", "a2", {"r": "1'", "s": "1'", "t": "1"}),
-    ("R4", "a4", {"r": "{1}", "s": "{2}", "t": "{2}"}),
-    ("R9", "a9", {"r": "{0}", "s": "{2}"}),
-    ("R8p", "a9", {"r": "{1}", "s": "{0}", "t": "{2}"}),
-    ("R9", "b9", {"r": "1'", "s": "a"}),
-    ("R8", "b9", {"r": "1'", "s": "a", "t": "b"}),
-    ("R10", "b10", {"r": "0'", "s": "0'"}),
-    ("R8", "a8", {"r": "0", "s": "1", "t": "0"}),  # in a8 the identity is 1
+    (None, "R2", "a2", {"r": "1'", "s": "1'", "t": "1"}),
+    (None, "R4", "a4", {"r": "{1}", "s": "{2}", "t": "{2}"}),
+    (None, "R9", "a9", {"r": "{0}", "s": "{2}"}),
+    ("paper.s11.a9-r8p-witness", "R8p", "a9", {"r": "{1}", "s": "{0}", "t": "{2}"}),
+    (None, "R9", "b9", {"r": "1'", "s": "a"}),
+    ("paper.s14.b9-r8-witness", "R8", "b9", {"r": "1'", "s": "a", "t": "b"}),
+    (None, "R10", "b10", {"r": "0'", "s": "0'"}),
+    (None, "R8", "a8", {"r": "0", "s": "1", "t": "0"}),  # in a8 the identity is 1
 ]
 
-# Independence suites: (claim id, model id, system name, target).
-_TARSKI_SUITE = [
-    ("paper.s5.a1-r1-independence", "a1", "tarski", "R1"),
-    ("paper.s6.a2-r2-independence", "a2", "tarski", "R2"),
-    ("paper.sr3.a3-r3-independence", "a3", "tarski", "R3"),
-    ("paper.s7.a4-r4-independence", "a4", "tarski", "R4"),
-    ("paper.s8.a5-r5-independence", "a5", "tarski", "R5"),
-    ("paper.sr6.a6-r6-independence", "a6", "tarski", "R6"),
-    ("paper.s9.a7-r7-independence", "a7", "tarski", "R7"),
-    ("paper.s10.a8-r8-independence", "a8", "tarski", "R8"),
-    ("paper.s11.a9-r9-independence", "a9", "tarski", "R9"),
-    ("paper.s12.a10-r10-independence", "a10", "tarski", "R10"),
-]
 
-_RSYS_SUITE = (
-    [(f"paper.s14.rsys-r{n}-a{n}", f"a{n}", "r", f"R{n}") for n in (1, 2, 3, 4, 5, 6, 10)]
-    + [
-        ("paper.s14.rsys-r9-b9", "b9", "r", "R9"),
-        ("paper.s14.rsys-r8p-a8", "a8", "r", "R8p"),
-        ("paper.s14.rsys-r8p-a7", "a7", "r", "R8p"),
-    ]
-)
+def _witness_text(rows):
+    """What ``_stated_fail`` checks for ``STATED_WITNESSES`` rows: one row's
+    law, model and assignment, or each row's axiom and model."""
+    if len(rows) > 1:
+        return (f"each of the {len(rows)} stated assignments falsifies its axiom: "
+                + _listed([f"{ax} in {mid}" for _, ax, mid, _ in rows]))
+    (_, ax, mid, env), = rows
+    return f"{ax} ({AXIOM_TEXT[ax]}) is false in {mid} at {_witness_str(env)}"
 
-_SSYS_SUITE = (
-    [(f"paper.s16.ssys-r{n}-a{n}", f"a{n}", "s", f"R{n}") for n in (1, 2, 3, 4, 5, 6, 10)]
-    + [
-        ("paper.s16.ssys-r8-b9", "b9", "s", "R8"),
-        ("paper.s16.ssys-r8p-a7", "a7", "s", "R8p"),
-    ]
-)
+
+def _stated_fail(models, rows):
+    """Each row's axiom must be false in its model at the row's (named)
+    assignment; one row's evidence is its assignment."""
+    ok = all(not holds(models[mid], axiom_sentence(ax), {
+        var: models[mid].names.index(name) for var, name in env.items()})
+        for _, ax, mid, env in rows)
+    if len(rows) == 1:
+        return ok, {"witness": rows[0][3]}
+    return ok, {"checked": [[ax, mid, env] for _, ax, mid, env in rows]}
 
 
 def _lemma_text(hypotheses, conclusions, agree):
     """What ``_lemma`` checks for one row, read from the row itself."""
-    def listed(ids):
-        return ", ".join(ids[:-1]) + " and " + ids[-1] if len(ids) > 1 else ids[0]
     verb = "agree" if agree else "hold" if len(conclusions) > 1 else "holds"
-    return (f"{listed(conclusions)} {verb} on every sample model (catalog and "
-            f"finished searches) that satisfies {listed(hypotheses)}")
+    return (f"{_listed(conclusions)} {verb} on every sample model (catalog and "
+            f"finished searches) that satisfies {_listed(hypotheses)}")
 
 
 # Semantic lemmas, checked by ``_lemma`` over the catalog and the models of
-# every finished search: (claim id, description, hypotheses, conclusions, agree).
-LEMMAS = [(cid, _lemma_text(hypotheses, conclusions, agree), hypotheses,
-           conclusions, agree) for cid, hypotheses, conclusions, agree in [
+# every finished search: (claim id, hypotheses, conclusions, agree).
+LEMMAS = [
     ("paper.s13.r10-equiv-r11p", BOOLEAN + ("R6", "R8p"), ("R10", "R11p"), True),
     ("paper.s13.r8-equiv-r8p", ("R6", "R7", "R9"), ("R8", "R8p"), True),
     ("paper.s13.implies-r7", BOOLEAN + ("R4", "R5", "R11p"), ("R7",), False),
     ("paper.s15.implies-r9", BOOLEAN + ("R5", "R8", "R11p"), ("R9",), False),
     ("paper.s13.rsys-implies-r7-r8", R_SYS, ("R7", "R8"), False),
     ("paper.s15.ssys-implies-r7-r9", S_SYS, ("R7", "R9"), False),
-]]
+]
 
 
 def _lemma(verdict, population, hypotheses, conclusions, agree=False):
@@ -229,34 +253,45 @@ SEARCHES = [
 ]
 
 
-# Part (a): (claim id, description, model id, name of its identity element,
-# comparisons (table, element order, reference)); neg and conv are unary.
+# Golden tables, each checked by ``_golden_check``: (claim id, model id, name
+# of its identity element, the model whose references its own are counted
+# against cell by cell or None, comparisons (table, element order,
+# reference)); neg and conv are unary.
 GOLDEN = [
-    ("paper.s3.table1-m3", "M3 operation tables match the reference", "m3", "1'",
+    ("paper.s3.table1-m3", "m3", "1'", None,
      [("comp", golden.M3_ORDER, golden.M3_COMP), ("conv", golden.M3_ORDER, golden.M3_ORDER)]),
-    ("paper.s3.tables2-3-z3-complex",
-     "Z3 complex algebra comp and conv tables match the reference", "z3c", "{0}",
+    ("paper.s3.tables2-3-z3-complex", "z3c", "{0}", None,
      [("comp", golden.Z3_ORDER, golden.Z3_COMP), ("conv", golden.Z3_ORDER, golden.Z3_CONV)]),
-    ("paper.s3.tables4-5-lyndon-d",
-     "eight-element symmetric algebra D: atom table and full comp table", "d", "1'",
+    ("paper.s3.tables4-5-lyndon-d", "d", "1'", None,
      [("comp", golden.D_ATOMS, golden.D_ATOM_COMP), ("comp", golden.D_ORDER, golden.D_COMP),
       ("conv", golden.D_ORDER, golden.D_ORDER)]),
-    ("paper.s6.table6-a2", "A2 add, comp, and complement tables match", "a2", "1'",
+    ("paper.s6.table6-a2", "a2", "1'", None,
      [("add", golden.A2_ORDER, golden.A2_ADD), ("comp", golden.A2_ORDER, golden.A2_COMP),
       ("neg", golden.A2_ORDER, golden.A2_NEG)]),
-    ("paper.s7.table8-a4", "A4 comp table matches the reference", "a4", "{0}",
-     [("comp", golden.A4_ORDER, golden.A4_COMP)]),
-    ("paper.s11.table9-a9-diff",
-     "A9 differs from the Z3 complex algebra in exactly 6 comp cells "
-     "plus the documented converse swap", "a9", "{0}",
+    ("paper.s7.table8-a4", "a4", "{0}", None, [("comp", golden.A4_ORDER, golden.A4_COMP)]),
+    ("paper.s11.table9-a9-diff", "a9", "{0}", "z3c",
      [("comp", golden.Z3_ORDER, golden.A9_COMP), ("conv", golden.Z3_ORDER, golden.A9_CONV)]),
-    ("paper.s12.table10-b10", "B10 comp table matches the reference", "b10", "1'",
-     [("comp", golden.B10_ORDER, golden.B10_COMP)]),
-    ("paper.s14.table11-b9-diff",
-     "B9 differs from D in exactly 4 comp cells plus the documented "
-     "converse swap", "b9", "1'",
+    ("paper.s12.table10-b10", "b10", "1'", None, [("comp", golden.B10_ORDER, golden.B10_COMP)]),
+    ("paper.s14.table11-b9-diff", "b9", "1'", "d",
      [("comp", golden.D_ORDER, golden.B9_COMP), ("conv", golden.D_ORDER, golden.B9_CONV)]),
 ]
+
+
+def _golden_text(mid, ident, base, comparisons):
+    """What ``_golden_check`` compares for one ``GOLDEN`` row: a table on
+    fewer elements than the row's longest lists them; with a base model, each
+    table's cells that differ from the base row's reference are counted."""
+    full = max(len(order) for _, order, _ in comparisons)
+    text = (f"{mid} has identity {ident} and matches the reference in every cell of "
+            + _listed([table + (f" on {{{', '.join(order)}}}" if len(order) < full else "")
+                       for table, order, _ in comparisons]))
+    if base is None:
+        return text
+    refs = {(table, tuple(order)): ref for _, bmid, _, _, bcomparisons in GOLDEN
+            if bmid == base for table, order, ref in bcomparisons}
+    return (f"{text}, which differ from {base}'s in exactly " + _listed(
+        [f"{golden.changed_cells(table, ref, refs[table, tuple(order)])} {table}"
+         for table, order, ref in comparisons]) + " cells")
 
 
 def _golden_check(a: FiniteAlgebra, ident: str, comparisons):
@@ -301,44 +336,23 @@ def run_verification_suite(include_long_running: bool = False,
                             time.perf_counter() - start, evidence))
 
     # (a) golden tables
-    for cid, desc, mid, ident, comparisons in GOLDEN:
-        run(cid, desc, "table-golden",
+    for cid, mid, ident, base, comparisons in GOLDEN:
+        run(cid, _golden_text(mid, ident, base, comparisons), "table-golden",
             partial(_golden_check, models[mid], ident, comparisons))
 
-    # (b)-(d) independence suites
-    for suite in (_TARSKI_SUITE, _RSYS_SUITE, _SSYS_SUITE):
-        for cid, mid, sysname, target in suite:
-            run(cid, f"{mid} fails exactly {target} within {sysname}",
-                "independence",
-                partial(_independence_evidence, verdict, models[mid],
-                        SYSTEMS[sysname], target))
+    # (b)-(d) independence of each system, and b10's and b5's extra facts
+    for cid, mid, sysname, target, kind in INDEPENDENCE:
+        run(cid, _independence_text(mid, sysname, target), kind,
+            partial(_independence_evidence, verdict, models[mid],
+                    SYSTEMS[sysname], target))
+    cid, mid, sysname, target, fact = B5_FACT
+    run(cid, _independence_text(mid, sysname, target) + fact, "extra-fact",
+        partial(b5_fact, verdict, models[mid], SYSTEMS[sysname], target))
 
-    # (e) extra facts
-    run("paper.witness.stated-counterexamples",
-        "every stated counterexample assignment falsifies its axiom",
-        "extra-fact",
-        lambda: (all(_fails_at(models[mid], ax, env)
-                     for ax, mid, env in STATED_WITNESSES),
-                 {"checked": [[ax, mid, env] for ax, mid, env in STATED_WITNESSES]}))
-    stated = {(ax, mid): env for ax, mid, env in STATED_WITNESSES}
-    for cid, side, ax, mid in [("paper.s11.a9-r8p-witness", "left", "R8p", "a9"),
-                               ("paper.s14.b9-r8-witness", "right", "R8", "b9")]:
-        run(cid, f"the {side} distributive law fails in {mid} at the stated "
-            "assignment", "extra-fact",
-            lambda ax=ax, mid=mid, env=stated[ax, mid]:
-                (_fails_at(models[mid], ax, env), {"witness": env}))
-    run("paper.s12.b10-r10-independence",
-        "b10 is an alternative independence model for R10",
-        "extra-fact",
-        partial(_independence_evidence, verdict, models["b10"], TARSKI, "R10"))
-
-    def b5_fact():
-        a = models["b5"]
-        e = exists_right_identity(a)
-        ok = e is not None and _independence_evidence(verdict, a, TARSKI, "R5")[0]
-        return ok, {"right_identity": None if e is None else a.name_of(e)}
-    run("paper.s8.b5-right-identity",
-        "b5 has a right identity element yet fails R5", "extra-fact", b5_fact)
+    # (e) the stated counterexamples: all in one claim, some also in their own
+    for cid, rows in [(WITNESSES_CLAIM, STATED_WITNESSES)] + [
+            (row[0], [row]) for row in STATED_WITNESSES if row[0] is not None]:
+        run(cid, _witness_text(rows), "extra-fact", partial(_stated_fail, models, rows))
 
     # (g)-(h) search claims: at each size, the search that holds the system
     # less the target and fails the target finds the required class count
@@ -370,7 +384,8 @@ def run_verification_suite(include_long_running: bool = False,
         a = models[cert]
         certified = (a.size == size and
                      _independence_evidence(verdict, a, system, target)[0] and
-                     (not count or any(find_isomorphism(m, a) for m in res.models)))
+                     (not count or any(find_isomorphism(m, a) is not None
+                                       for m in res.models)))
         ev = {"sizes": rows, "certificate": cert, "certified": certified}
         if not all(row["exhaustive"] for row in rows):
             ev["resource_abort"] = True
@@ -385,8 +400,8 @@ def run_verification_suite(include_long_running: bool = False,
                     long_node_limit if long else None))
 
     # (f) semantic lemma checks over the catalog plus all searched models
-    for cid, desc, hypotheses, conclusions, agree in LEMMAS:
-        run(cid, desc, "lemma-semantic",
+    for cid, hypotheses, conclusions, agree in LEMMAS:
+        run(cid, _lemma_text(hypotheses, conclusions, agree), "lemma-semantic",
             partial(_lemma, verdict, population, hypotheses, conclusions, agree))
 
     claims.sort(key=lambda c: c.claim_id)

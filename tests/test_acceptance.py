@@ -75,7 +75,7 @@ def test_criterion_04_golden_tables():
     start = time.perf_counter()
     models = {mid: build_model(mid) for mid in list_models()}
     ok = True
-    for cid, _, mid, ident, comparisons in GOLDEN:
+    for cid, mid, ident, _, comparisons in GOLDEN:
         good, evidence = _golden_check(models[mid], ident, comparisons)
         if not good:
             print(cid, evidence)

@@ -7,7 +7,7 @@ import pytest
 from relalg.algebra import from_json, to_json
 from relalg.catalog import boolean_ra, m3
 from relalg.cli import _parse_axiom_list, main
-from relalg.report import _TARSKI_SUITE, run_verification_suite
+from relalg.report import INDEPENDENCE, run_verification_suite
 from relalg.search import SearchResult
 
 
@@ -126,7 +126,7 @@ class TestCommands:
 
     def test_independence_matches_claim_evidence(self, capsys):
         by_id = {c.claim_id: c for c in run_verification_suite().claims}
-        for cid, mid, sysname, target in _TARSKI_SUITE:
+        for cid, mid, sysname, target, _ in INDEPENDENCE:
             code, out, _ = run(capsys, "independence", mid, "--target", target,
                                "--system", sysname)
             assert code == 0, cid

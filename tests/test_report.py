@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from relalg import cli
+from relalg import cli, golden
 from relalg.algebra import automorphism_count, make_algebra
 from relalg.axioms import SYSTEMS, axiom_sentence, failing_axioms, status_vector
 from relalg.catalog import build_model, list_models, m3
-from relalg.report import (_RSYS_SUITE, _SSYS_SUITE, _TARSKI_SUITE, GOLDEN,
-                           LEMMAS, SEARCHES, Claim, Report, _golden_check,
-                           _lemma, render_model, run_verification_suite)
+from relalg.report import (B5_FACT, GOLDEN, INDEPENDENCE, LEMMAS, SEARCHES,
+                           STATED_WITNESSES, WITNESSES_CLAIM, Claim, Report,
+                           _golden_check, _golden_text, _independence_text,
+                           _lemma, _lemma_text, _witness_text, render_model,
+                           run_verification_suite)
 from relalg.search import SearchResult
 from relalg.terms import check_validity
 from test_search import RSYS_MINUS_R9_SIZE8, _from_form
@@ -33,7 +35,7 @@ class TestRenderModel:
 def _mismatches(claim_id, model_id, bad):
     """The golden claim's mismatches with ``bad`` in place of the model;
     the claim must fail."""
-    _, _, mid, ident, comparisons = next(row for row in GOLDEN if row[0] == claim_id)
+    _, mid, ident, _, comparisons = next(row for row in GOLDEN if row[0] == claim_id)
     assert mid == model_id
     ok, evidence = _golden_check(bad, ident, comparisons)
     assert not ok
@@ -78,7 +80,7 @@ class TestFaultInjection:
 
     def test_uncorrupted_claim_passes(self):
         models = {mid: build_model(mid) for mid in list_models()}
-        for cid, _, mid, ident, comparisons in GOLDEN:
+        for cid, mid, ident, _, comparisons in GOLDEN:
             ok, evidence = _golden_check(models[mid], ident, comparisons)
             assert ok, (cid, evidence)
 
@@ -300,9 +302,7 @@ class TestVerdictTable:
 
     def test_independence_evidence_matches_status_vector(self):
         by_id = {c.claim_id: c for c in run_verification_suite().claims}
-        jobs = _TARSKI_SUITE + _RSYS_SUITE + _SSYS_SUITE + [
-            ("paper.s12.b10-r10-independence", "b10", "tarski", "R10")]
-        for cid, mid, sysname, target in jobs:
+        for cid, mid, sysname, target, kind in INDEPENDENCE:
             a = build_model(mid)
             status = status_vector(a, SYSTEMS[sysname])
             want = {"failing": failing_axioms(status)}
@@ -311,6 +311,7 @@ class TestVerdictTable:
                                    for var, v in sorted(status[target].items())}
             assert by_id[cid].evidence == want, cid
             assert by_id[cid].status == "pass", cid
+            assert by_id[cid].kind == kind, cid
 
 
 class TestLemma:
@@ -339,9 +340,9 @@ class TestLemma:
         lemmas = [c for c in budget_cut_report.claims if c.kind == "lemma-semantic"]
         assert sorted(c.claim_id for c in lemmas) == sorted(rows)
         for c in lemmas:
-            description, hypotheses, conclusions, agree = rows[c.claim_id]
+            hypotheses, conclusions, agree = rows[c.claim_id]
             words = c.description.replace(",", "").split()
-            assert c.description == description
+            assert c.description == _lemma_text(hypotheses, conclusions, agree)
             assert "sample" in words
             assert set(hypotheses + conclusions) <= set(words)
             assert ("agree" in words) == agree
@@ -368,12 +369,67 @@ class TestLemma:
                 ([size] if count else list(range(1, size)))
             assert c.evidence["certificate"] == cert
             assert (c.claim_id in LONG_CLAIMS) == long
+        # a golden claim names its model, identity and every compared
+        # table; an independence row its model, system and target; a stated
+        # counterexample its axiom, model and assignment
+        by_id = {c.claim_id: c for c in budget_cut_report.claims}
+        texts = {WITNESSES_CLAIM: _witness_text(STATED_WITNESSES)}
+        for cid, mid, ident, base, comparisons in GOLDEN:
+            texts[cid] = _golden_text(mid, ident, base, comparisons)
+            words = texts[cid].replace(",", "").replace("'s", "").split()
+            assert {mid, ident} | {table for table, _, _ in comparisons} <= set(words)
+            assert base is None or base in words
+            assert by_id[cid].kind == "table-golden"
+        for cid, mid, sysname, target, kind in INDEPENDENCE:
+            texts[cid] = _independence_text(mid, sysname, target)
+            assert {mid, sysname, target} <= set(texts[cid].split())
+            assert by_id[cid].kind == kind
+        cid, mid, sysname, target, fact = B5_FACT
+        texts[cid] = _independence_text(mid, sysname, target) + fact
+        assert "right identity" in texts[cid]
+        for row in STATED_WITNESSES:
+            cid, ax, mid, env = row
+            assert f"{ax} in {mid}" in texts[WITNESSES_CLAIM]
+            if cid is not None:
+                texts[cid] = _witness_text([row])
+                words = texts[cid].replace(",", "").split()
+                assert {ax, mid} | {f"{var}={name}" for var, name in env.items()} \
+                    <= set(words)
+        facts = [c for c in budget_cut_report.claims if c.kind in
+                 ("table-golden", "independence", "extra-fact")]
+        assert sorted(c.claim_id for c in facts) == sorted(texts)
+        for c in facts:
+            assert c.description == texts[c.claim_id], c.claim_id
+
+    def test_changed_cells_are_the_tables_differences(self, budget_cut_report):
+        # A9's and B9's descriptions count the cells where the derived
+        # references differ from Z3's and D's: comp cells inside the block
+        # the paper lists, conv cells where Z3's converse moves {1} and {2}
+        # and B9's swaps its pair
+        by_id = {c.claim_id: c for c in budget_cut_report.claims}
+        for cid, order, comp, base_comp, conv, base_conv, block, moved in [
+            ("paper.s11.table9-a9-diff", golden.Z3_ORDER, golden.A9_COMP,
+             golden.Z3_COMP, golden.A9_CONV, golden.Z3_CONV,
+             (golden.A9_DIFF_ROWS, golden.A9_DIFF_COLS), {"{1}", "{2}"}),
+            ("paper.s14.table11-b9-diff", golden.D_ORDER, golden.B9_COMP,
+             golden.D_COMP, golden.B9_CONV, golden.D_ORDER,
+             (golden.B9_DIFF_ROWS, golden.B9_DIFF_COLS), set(golden.B9_CONV_SWAP))]:
+            cells = {(order[i], order[j]) for i in range(8) for j in range(8)
+                     if comp[i][j] != base_comp[i][j]}
+            assert cells <= {(r, c) for r in block[0] for c in block[1]}
+            assert {order[i] for i in range(8) if conv[i] != base_conv[i]} == moved
+            assert by_id[cid].description.endswith(
+                f"in exactly {len(cells)} comp and {len(moved)} conv cells")
+        assert by_id["paper.s11.table9-a9-diff"].description.endswith(
+            "differ from z3c's in exactly 6 comp and 2 conv cells")
+        assert by_id["paper.s14.table11-b9-diff"].description.endswith(
+            "differ from d's in exactly 4 comp and 2 conv cells")
 
     # the first LEMMAS row (R10 against R11p) on one model each, and a
     # model where a hypothesis fails
     @pytest.mark.parametrize("model_id, hypotheses, conclusions, failing, applicable", [
-        ("m3", *LEMMAS[0][2:4], [], 1),
-        ("a10", *LEMMAS[0][2:4], ["R10", "R11p"], 1),
+        ("m3", *LEMMAS[0][1:3], [], 1),
+        ("a10", *LEMMAS[0][1:3], ["R10", "R11p"], 1),
         ("a6", ("R6",), ("R8", "R8p"), [], 0)],
         ids=["both-hold", "both-fail", "not-applicable"])
     def test_agreement_on_one_model(self, model_id, hypotheses, conclusions,
